@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import max_amp_diff, random_circuit, random_state
 from qabacus import (
-    Circuit, Control, Hadamard, ParseError, Phase, Swap, X, apply_circuit,
-    build_counter, build_count_stage, build_encoder, build_qft, concat, embed,
-    gate_count_report, invert, lower_negative_controls, parse, serialize,
+    ArrayContents, ArrayLayout, Circuit, Control, Hadamard, IndexPredicate,
+    ParseError, Phase, Swap, X, apply_circuit, build_counter,
+    build_count_stage, build_create, build_create_arithmetic, build_encoder,
+    build_inverse_qft, build_phase_estimator, build_qft,
+    build_qft_phase_estimator, build_update_add, concat, count_phase_table,
+    embed, gate_count_report, invert, lower_negative_controls, parse,
+    serialize,
 )
 from qabacus.turns import DyadicTurn, Turn
 
@@ -177,6 +181,16 @@ def test_goldens_match():
         "circuit_qft3.txt": build_qft(3),
         "circuit_counter3.txt": build_counter(3),
         "circuit_encoder_5_3.txt": build_encoder(5, 3),
+        "circuit_iqft3.txt": build_inverse_qft(3),
+        "circuit_qft_pea2.txt": build_qft_phase_estimator(2),
+        "circuit_pea_count2.txt":
+            build_phase_estimator(count_phase_table(2), 2),
+        "circuit_create_1205_2x3.txt":
+            build_create(ArrayContents((1, 2, 0, 5)), ArrayLayout(2, 3)),
+        "circuit_create_arith_1_3_2x3.txt":
+            build_create_arithmetic(1, 3, ArrayLayout(2, 3)),
+        "circuit_update_add_1_even_2x3.txt":
+            build_update_add(1, IndexPredicate.even(), ArrayLayout(2, 3)),
     }
     for name, circuit in cases.items():
         golden = (GOLDEN_DIR / name).read_text()
