@@ -2,9 +2,8 @@
 on a dense state-vector simulator."""
 
 from .circuit import (
-    Circuit, Control, Gate, Hadamard, ParseError, Phase, Swap, X, concat,
-    embed, gate_count_report, invert, lower_negative_controls, parse,
-    serialize,
+    Circuit, Control, Gate, Hadamard, ParseError, Phase, Swap, X,
+    gate_count_report, invert, lower_negative_controls, parse, serialize,
 )
 from .counting import (
     CountTarget, ancilla_width, build_count_stage, build_counter,
@@ -36,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Circuit", "Control", "Gate", "Hadamard", "ParseError", "Phase", "Swap",
-    "X", "concat", "embed", "gate_count_report", "invert",
+    "X", "gate_count_report", "invert",
     "lower_negative_controls", "parse", "serialize",
     "CountTarget", "ancilla_width", "build_count_stage", "build_counter",
     "count_phase_table", "run_count",

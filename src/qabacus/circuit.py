@@ -17,7 +17,7 @@ from .turns import Turn, format_turn, parse_turn
 __all__ = [
     "Control", "Hadamard", "X", "Phase", "Swap", "Gate", "Circuit",
     "ParseError", "invert", "gate_count_report", "serialize", "parse",
-    "embed", "lower_negative_controls", "concat",
+    "lower_negative_controls",
 ]
 
 
@@ -156,6 +156,20 @@ class Circuit:
             if "\n" in text:
                 raise ValueError("label text must be a single line")
 
+    @classmethod
+    def from_blocks(cls, num_qubits: int, blocks) -> "Circuit":
+        """One circuit from ``(label, gates)`` blocks run in order.
+
+        Each label marks the position where its block starts, so an
+        empty block at the end leaves its label after the last gate.
+        """
+        gates: list[Gate] = []
+        labels: list[tuple[int, str]] = []
+        for label, block in blocks:
+            labels.append((len(gates), label))
+            gates.extend(block)
+        return cls(num_qubits, tuple(gates), labels=tuple(labels))
+
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -193,26 +207,6 @@ def gate_count_report(circuit: Circuit) -> dict[str, int]:
             counts["swap"] += 1
     counts["total"] = len(circuit.gates)
     return counts
-
-
-def embed(circuit: Circuit, num_qubits: int, offset: int = 0) -> Circuit:
-    """The same circuit acting on qubits [offset, offset + width) of a
-    wider register."""
-    if offset < 0 or offset + circuit.num_qubits > num_qubits:
-        raise ValueError(
-            f"cannot embed a {circuit.num_qubits}-qubit circuit at offset "
-            f"{offset} into {num_qubits} qubits")
-
-    def shift(g: Gate) -> Gate:
-        if isinstance(g, (Hadamard, X)):
-            return replace(g, target=g.target + offset)
-        if isinstance(g, Phase):
-            ctrls = tuple(Control(c.qubit + offset, c.positive) for c in g.controls)
-            return Phase(g.turn, g.target + offset, ctrls)
-        return Swap(g.a + offset, g.b + offset)
-
-    return Circuit(num_qubits, tuple(shift(g) for g in circuit.gates),
-                   labels=circuit.labels)
 
 
 def lower_negative_controls(circuit: Circuit) -> Circuit:
@@ -343,17 +337,3 @@ def _parse_gate(kind: str, tokens: list[str], lineno: int) -> Gate:
         target = _parse_int(tokens[arrow + 1], lineno, "target")
         return Phase(turn, target, tuple(controls))
     raise ParseError(lineno, f"unknown gate kind {kind!r}")
-
-
-def concat(*circuits: Circuit) -> Circuit:
-    """Concatenate circuits of equal width, preserving labels."""
-    widths = {c.num_qubits for c in circuits}
-    if len(widths) != 1:
-        raise ValueError(f"circuits have mismatched widths {sorted(widths)}")
-    gates: list[Gate] = []
-    labels: list[tuple[int, str]] = []
-    for c in circuits:
-        base = len(gates)
-        gates.extend(c.gates)
-        labels.extend((base + pos, text) for pos, text in c.labels)
-    return Circuit(widths.pop(), tuple(gates), labels=tuple(labels))

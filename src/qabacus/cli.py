@@ -16,9 +16,10 @@ from .encoding import build_encoder, decode_register, encode_value, \
     fourier_phase
 from .phase_estimation import build_qft_phase_estimator
 from .qarray import ArrayContents, ArrayLayout, IndexPredicate, MalformedArray, \
-    build_create, build_update_add, create_state, read_all
+    build_create, build_update_add, read_all
 from .qft import build_inverse_qft, build_qft
-from .statevector import NotDeterministic, StateVector, apply_circuit
+from .statevector import NotDeterministic, StateVector, apply_circuit, \
+    new_basis_state
 from .turns import format_turn
 
 __all__ = ["main"]
@@ -173,10 +174,11 @@ def _cmd_array_create(args) -> int:
                 f"value count {count} is not a power of two >= 2; "
                 "pad with zeros or pass -m")
     layout = ArrayLayout(m, args.p)
-    state = create_state(contents, layout)
+    circuit = build_create(contents, layout)
+    state = apply_circuit(new_basis_state(layout.num_qubits, 0), circuit)
     stored = read_all(state, layout, args.tolerance)
     _save_state(args.state, layout, state)
-    counts = gate_count_report(build_create(contents, layout))
+    counts = gate_count_report(circuit)
     if args.json:
         _emit_json("array-create",
                    {"values": list(contents.values), "index_qubits": m,

@@ -14,10 +14,8 @@ always an exact m-bit dyadic.
 
 import enum
 
-from . import statevector as sv
-from .circuit import Circuit, Control, Gate, Hadamard, Phase, concat, embed
-from .phase_estimation import PhaseTable
-from .qft import build_inverse_qft
+from .circuit import Circuit, Control, Phase
+from .phase_estimation import PhaseTable, _kickback_frame
 from .statevector import apply_circuit, deterministic_outcome, new_basis_state
 from .turns import DyadicTurn
 
@@ -64,6 +62,16 @@ def count_phase_table(n: int, target: CountTarget = CountTarget.ONES, *,
     return PhaseTable(n, phases)
 
 
+def _counting_circuit(n: int, target: CountTarget, allow_wraparound: bool, *,
+                      readout: bool) -> Circuit:
+    m = ancilla_width(n, allow_wraparound=allow_wraparound)
+    positive = target is CountTarget.ONES
+    count = (Phase(DyadicTurn(1, m - l), n + l,
+                   (Control(k, positive=positive),))
+             for k in range(n) for l in range(m - 1, -1, -1))
+    return _kickback_frame(n, m, [("count", count)], readout=readout)
+
+
 def build_count_stage(n: int, target: CountTarget = CountTarget.ONES, *,
                       allow_wraparound: bool = False) -> Circuit:
     """Ancilla preparation plus the n*m counting rotations, without the
@@ -72,20 +80,7 @@ def build_count_stage(n: int, target: CountTarget = CountTarget.ONES, *,
     Every input qubit k contributes the turn 1/2**(m-l) to ancilla l,
     controlled on qubit k being 1 (or 0 when counting zeros, via an
     open-dot control)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"register length must be >= 1, got {n!r}")
-    m = ancilla_width(n, allow_wraparound=allow_wraparound)
-    if n + m > sv.MAX_QUBITS:
-        raise ValueError(
-            f"{n} input + {m} ancilla qubits exceeds the {sv.MAX_QUBITS}-qubit cap")
-    positive = target is CountTarget.ONES
-    gates: list[Gate] = [Hadamard(n + l) for l in range(m - 1, -1, -1)]
-    labels = [(0, "prep"), (len(gates), "count")]
-    for k in range(n):
-        for l in range(m - 1, -1, -1):
-            gates.append(Phase(DyadicTurn(1, m - l), n + l,
-                               (Control(k, positive=positive),)))
-    return Circuit(n + m, tuple(gates), labels=tuple(labels))
+    return _counting_circuit(n, target, allow_wraparound, readout=False)
 
 
 def build_counter(n: int, target: CountTarget = CountTarget.ONES, *,
@@ -93,11 +88,7 @@ def build_counter(n: int, target: CountTarget = CountTarget.ONES, *,
     """Full counter: counting stage followed by inverse QFT + swaps on
     the ancillas.  Applied to a basis input |q>, the ancilla register
     ends in |count(q)> and the input register is unchanged."""
-    stage = build_count_stage(n, target, allow_wraparound=allow_wraparound)
-    m = stage.num_qubits - n
-    readout = embed(build_inverse_qft(m), n + m, offset=n)
-    labeled = Circuit(n + m, readout.gates, labels=((0, "readout"),))
-    return concat(stage, labeled)
+    return _counting_circuit(n, target, allow_wraparound, readout=True)
 
 
 def run_count(bits, target: CountTarget = CountTarget.ONES, *,

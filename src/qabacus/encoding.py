@@ -54,10 +54,10 @@ def build_encoder(d: int, n: int) -> Circuit:
 
     Values outside [0, 2**n) are rejected rather than silently reduced.
     """
-    gates: list[Gate] = [Hadamard(l) for l in range(n - 1, -1, -1)]
-    labels = [(0, "prep"), (len(gates), "encode")]
-    gates.extend(encoding_phase_gates(d, n))
-    return Circuit(n, tuple(gates), labels=tuple(labels))
+    return Circuit.from_blocks(n, [
+        ("prep", [Hadamard(l) for l in range(n - 1, -1, -1)]),
+        ("encode", encoding_phase_gates(d, n)),
+    ])
 
 
 def encode_value(d: int, n: int) -> StateVector:

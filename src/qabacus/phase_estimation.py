@@ -14,9 +14,9 @@ estimator is deterministic for every basis input.
 import math
 from dataclasses import dataclass
 
-from . import statevector as sv
-from .circuit import Circuit, Control, Gate, Hadamard, Phase, embed
-from .qft import build_inverse_qft
+from .circuit import Circuit, Control, Hadamard, Phase
+from .qft import _qft_gates
+from .statevector import _check_width
 from .turns import DyadicTurn, Turn
 
 __all__ = [
@@ -83,22 +83,13 @@ def build_phase_estimator(table: PhaseTable, m: int) -> Circuit:
     n = table.num_input_qubits
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"ancilla count must be >= 1, got {m!r}")
-    if n + m > sv.MAX_QUBITS:
-        raise ValueError(
-            f"{n} input + {m} ancilla qubits exceeds the {sv.MAX_QUBITS}-qubit cap")
-    gates: list[Gate] = [Hadamard(n + l) for l in range(m - 1, -1, -1)]
-    labels = [(0, "prep"), (len(gates), "kickback")]
-    for l in range(m):
-        powered = diagonal_power(table, l)
-        for j, phase in enumerate(powered.phases):
-            if phase.is_zero():
-                continue
-            controls = tuple(Control(b, positive=bool((j >> b) & 1))
-                             for b in range(n - 1, -1, -1))
-            gates.append(Phase(phase, n + l, controls))
-    labels.append((len(gates), "readout"))
-    gates.extend(embed(build_inverse_qft(m), n + m, offset=n).gates)
-    return Circuit(n + m, tuple(gates), labels=tuple(labels))
+    kickback = (
+        Phase(phase, n + l, tuple(Control(b, positive=bool((j >> b) & 1))
+                                  for b in range(n - 1, -1, -1)))
+        for l in range(m)
+        for j, phase in enumerate(diagonal_power(table, l).phases)
+        if not phase.is_zero())
+    return _kickback_frame(n, m, [("kickback", kickback)])
 
 
 def analytic_outcome_probability(phi: Turn, m: int, j: int) -> float:
@@ -142,15 +133,31 @@ def build_qft_phase_estimator(n: int) -> Circuit:
     the circuit stays polynomial.  For every basis input |j> the
     deterministic readout is j, and the input register is untouched.
     """
-    if not isinstance(n, int) or not 1 <= n <= sv.MAX_QUBITS // 2:
-        raise ValueError(
-            f"n must be in [1, {sv.MAX_QUBITS // 2}] so that 2n qubits fit, got {n!r}")
-    gates: list[Gate] = [Hadamard(n + l) for l in range(n - 1, -1, -1)]
-    labels = [(0, "prep")]
-    for l in range(n - 1, -1, -1):
-        labels.append((len(gates), f"power 2^{l}"))
-        for k in range(n - 1 - l, -1, -1):
-            gates.append(Phase(DyadicTurn(1, n - l - k), k, (Control(n + l),)))
-    labels.append((len(gates), "readout"))
-    gates.extend(embed(build_inverse_qft(n), 2 * n, offset=n).gates)
-    return Circuit(2 * n, tuple(gates), labels=tuple(labels))
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
+
+    def powers():
+        for l in range(n - 1, -1, -1):
+            yield f"power 2^{l}", [
+                Phase(DyadicTurn(1, n - l - k), k, (Control(n + l),))
+                for k in range(n - 1 - l, -1, -1)]
+
+    return _kickback_frame(n, n, powers())
+
+
+def _kickback_frame(n: int, m: int, kicks, *, readout: bool = True) -> Circuit:
+    """The phase-kickback mechanism shared by the counter and both
+    estimators, on n input qubits with m ancillas above them.
+
+    Hadamards put the ancillas in uniform superposition ("prep"), the
+    ``(label, gates)`` blocks of ``kicks`` write phases onto them, and
+    with ``readout`` an inverse QFT with swaps on the ancillas turns the
+    phase into a basis state.  The width is checked before any kick
+    gate is generated.
+    """
+    _check_width(n + m)
+    blocks = [("prep", [Hadamard(n + l) for l in range(m - 1, -1, -1)]),
+              *kicks]
+    if readout:
+        blocks.append(("readout", _qft_gates(m, offset=n, inverse=True)))
+    return Circuit.from_blocks(n + m, blocks)

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevector as sv
-from .circuit import Circuit, Control, Gate, Hadamard, Phase, embed
+from .circuit import Circuit, Control, Gate, Hadamard, Phase
 from .encoding import encoding_phase_gates, fourier_phase
-from .qft import build_inverse_qft, build_qft
-from .statevector import StateVector, apply_circuit, new_basis_state
+from .qft import _qft_gates
+from .statevector import StateVector, _check_tolerance, _check_width, \
+    apply_circuit, new_basis_state
 
 __all__ = [
     "ArrayLayout", "IndexPredicate", "ArrayContents", "MalformedArray",
@@ -48,9 +48,7 @@ class ArrayLayout:
             raise ValueError(f"index_qubits must be >= 1, got {m!r}")
         if not isinstance(p, int) or p < 1:
             raise ValueError(f"data_qubits must be >= 1, got {p!r}")
-        if m + p > sv.MAX_QUBITS:
-            raise ValueError(
-                f"{m}+{p} qubits exceeds the {sv.MAX_QUBITS}-qubit cap")
+        _check_width(m + p)
 
     @property
     def num_qubits(self) -> int:
@@ -144,8 +142,14 @@ def _predicate_controls(predicate: IndexPredicate,
                  for b in range(m - 1, -1, -1) if (predicate.mask >> b) & 1)
 
 
-def _hadamard_layer(layout: ArrayLayout) -> list[Gate]:
-    return [Hadamard(q) for q in range(layout.num_qubits - 1, -1, -1)]
+def _create_frame(layout: ArrayLayout, encode: list[Gate]) -> Circuit:
+    """Shared by both creation builders: Hadamards on every qubit, the
+    ``encode`` phase gates, then the inverse QFT on the data part."""
+    return Circuit.from_blocks(layout.num_qubits, [
+        ("prep", [Hadamard(q) for q in range(layout.num_qubits - 1, -1, -1)]),
+        ("encode", encode),
+        ("readout", _qft_gates(layout.data_qubits, inverse=True)),
+    ])
 
 
 def build_create(contents: ArrayContents, layout: ArrayLayout, *,
@@ -159,9 +163,8 @@ def build_create(contents: ArrayContents, layout: ArrayLayout, *,
     emitted once as an uncontrolled gate instead.
     """
     _check_contents(contents, layout)
-    m, p = layout.index_qubits, layout.data_qubits
-    gates = _hadamard_layer(layout)
-    labels = [(0, "prep"), (len(gates), "encode")]
+    p = layout.data_qubits
+    gates: list[Gate] = []
     turns = [[fourier_phase(v, l, p) for l in range(p)] for v in contents.values]
     common: list = [None] * p
     if factor_common:
@@ -181,9 +184,7 @@ def build_create(contents: ArrayContents, layout: ArrayLayout, *,
             if turn.is_zero():
                 continue
             gates.append(Phase(turn, l, controls))
-    labels.append((len(gates), "readout"))
-    gates.extend(embed(build_inverse_qft(p), layout.num_qubits).gates)
-    return Circuit(layout.num_qubits, tuple(gates), labels=tuple(labels))
+    return _create_frame(layout, gates)
 
 
 def arithmetic_contents(first: int, step: int,
@@ -209,16 +210,12 @@ def build_create_arithmetic(first: int, step: int,
     _check_addend(first, layout.data_qubits, "first")
     _check_addend(step, layout.data_qubits, "step")
     m, p = layout.index_qubits, layout.data_qubits
-    gates = _hadamard_layer(layout)
-    labels = [(0, "prep"), (len(gates), "encode")]
-    gates.extend(encoding_phase_gates(first, p))
+    gates = list(encoding_phase_gates(first, p))
     for b in range(m):
         weight = (step << b) % (1 << p)
         gates.extend(encoding_phase_gates(weight, p,
                                           controls=(Control(p + b),)))
-    labels.append((len(gates), "readout"))
-    gates.extend(embed(build_inverse_qft(p), layout.num_qubits).gates)
-    return Circuit(layout.num_qubits, tuple(gates), labels=tuple(labels))
+    return _create_frame(layout, gates)
 
 
 def build_update_add(addend: int, predicate: IndexPredicate,
@@ -232,14 +229,12 @@ def build_update_add(addend: int, predicate: IndexPredicate,
     """
     _check_addend(addend, layout.data_qubits, "addend")
     controls = _predicate_controls(predicate, layout)
-    n, p = layout.num_qubits, layout.data_qubits
-    to_fourier = embed(build_qft(p), n)
-    from_fourier = embed(build_inverse_qft(p), n)
-    add_layer = encoding_phase_gates(addend, p, controls=controls)
-    gates = to_fourier.gates + add_layer + from_fourier.gates
-    labels = ((0, "to-fourier"), (len(to_fourier.gates), "add"),
-              (len(to_fourier.gates) + len(add_layer), "from-fourier"))
-    return Circuit(n, tuple(gates), labels=labels)
+    p = layout.data_qubits
+    return Circuit.from_blocks(layout.num_qubits, [
+        ("to-fourier", _qft_gates(p)),
+        ("add", encoding_phase_gates(addend, p, controls=controls)),
+        ("from-fourier", _qft_gates(p, inverse=True)),
+    ])
 
 
 def create_state(contents: ArrayContents, layout: ArrayLayout) -> StateVector:
@@ -256,6 +251,7 @@ def read_all(state: StateVector, layout: ArrayLayout,
     probability mass on a single data value (within tolerance), else
     MalformedArray is raised.
     """
+    _check_tolerance(tolerance)
     if state.num_qubits != layout.num_qubits:
         raise ValueError(
             f"state has {state.num_qubits} qubits, layout needs "

@@ -10,17 +10,32 @@ the inverse transform.
 
 import numpy as np
 
-from . import statevector as sv
-from .circuit import Circuit, Control, Gate, Hadamard, Phase, Swap, invert
-from .statevector import StateVector
+from .circuit import Circuit, Control, Gate, Hadamard, Phase, Swap
+from .statevector import StateVector, _check_width
 from .turns import DyadicTurn
 
 __all__ = ["build_qft", "build_inverse_qft", "analytic_fourier_state"]
 
 
-def _check_width(n: int) -> None:
-    if not isinstance(n, int) or not 1 <= n <= sv.MAX_QUBITS:
-        raise ValueError(f"width must be in [1, {sv.MAX_QUBITS}], got {n!r}")
+def _qft_gates(n: int, offset: int = 0, *, inverse: bool = False,
+               with_swaps: bool = True) -> list[Gate]:
+    """Gates of the forward or inverse transform on qubits
+    [offset, offset + n) of a wider register.
+
+    The inverse is the forward sequence reversed with every turn
+    negated, which is what ``invert`` would make of it.
+    """
+    sign = -1 if inverse else 1
+    gates: list[Gate] = []
+    for t in range(n - 1, -1, -1):
+        gates.append(Hadamard(offset + t))
+        for c in range(t - 1, -1, -1):
+            gates.append(Phase(DyadicTurn(sign, t - c + 1), offset + t,
+                               (Control(offset + c),)))
+    if with_swaps:
+        for i in range(n // 2):
+            gates.append(Swap(offset + i, offset + n - 1 - i))
+    return gates[::-1] if inverse else gates
 
 
 def build_qft(n: int, with_swaps: bool = True) -> Circuit:
@@ -30,21 +45,14 @@ def build_qft(n: int, with_swaps: bool = True) -> Circuit:
     1/2**k, plus floor(n/2) trailing swaps when with_swaps is set.
     """
     _check_width(n)
-    gates: list[Gate] = []
-    for t in range(n - 1, -1, -1):
-        gates.append(Hadamard(t))
-        for c in range(t - 1, -1, -1):
-            gates.append(Phase(DyadicTurn(1, t - c + 1), t, (Control(c),)))
-    if with_swaps:
-        for i in range(n // 2):
-            gates.append(Swap(i, n - 1 - i))
-    return Circuit(n, tuple(gates))
+    return Circuit(n, _qft_gates(n, with_swaps=with_swaps))
 
 
 def build_inverse_qft(n: int, with_swaps: bool = True) -> Circuit:
     """Inverse Fourier transform; maps analytic_fourier_state(d, n) back
     to |d> deterministically."""
-    return invert(build_qft(n, with_swaps))
+    _check_width(n)
+    return Circuit(n, _qft_gates(n, inverse=True, with_swaps=with_swaps))
 
 
 def analytic_fourier_state(d: int, n: int) -> StateVector:

@@ -29,6 +29,21 @@ NORM_TOLERANCE = 1e-12
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
+def _check_width(num_qubits: int) -> None:
+    """Reject a register width outside [1, MAX_QUBITS].  The cap is read
+    at call time, so reassigning MAX_QUBITS takes effect everywhere."""
+    if not isinstance(num_qubits, int) or not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(
+            f"register width must be in [1, {MAX_QUBITS}] qubits, "
+            f"got {num_qubits!r}")
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """Reject a readout tolerance outside (0, 1), NaN included."""
+    if not 0.0 < tolerance < 1.0:
+        raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
+
+
 class NotDeterministic(Exception):
     """No single outcome carries probability >= 1 - tolerance."""
 
@@ -39,9 +54,7 @@ class StateVector:
     __slots__ = ("_num_qubits", "_amplitudes")
 
     def __init__(self, num_qubits: int, amplitudes: Iterable[complex]):
-        if not isinstance(num_qubits, int) or not 1 <= num_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits!r}")
+        _check_width(num_qubits)
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.shape != (1 << num_qubits,):
             raise ValueError(
@@ -77,9 +90,7 @@ class StateVector:
 
 def new_basis_state(num_qubits: int, basis: int) -> StateVector:
     """The computational basis state |basis> on num_qubits qubits."""
-    if not isinstance(num_qubits, int) or not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(
-            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits!r}")
+    _check_width(num_qubits)
     if not isinstance(basis, int) or not 0 <= basis < (1 << num_qubits):
         raise ValueError(
             f"basis index {basis!r} out of range for {num_qubits} qubits")
@@ -198,8 +209,7 @@ def deterministic_outcome(state: StateVector, tolerance: float = 1e-9, *,
     the result) when given.  Raises NotDeterministic if no index clears
     the threshold.
     """
-    if not 0.0 < tolerance < 1.0:
-        raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
+    _check_tolerance(tolerance)
     if qubits is None:
         probs = state.probabilities()
     else:

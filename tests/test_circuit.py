@@ -11,9 +11,8 @@ from qabacus import (
     ParseError, Phase, Swap, X, apply_circuit, build_counter,
     build_count_stage, build_create, build_create_arithmetic, build_encoder,
     build_inverse_qft, build_phase_estimator, build_qft,
-    build_qft_phase_estimator, build_update_add, concat, count_phase_table,
-    embed, gate_count_report, invert, lower_negative_controls, parse,
-    serialize,
+    build_qft_phase_estimator, build_update_add, count_phase_table,
+    gate_count_report, invert, lower_negative_controls, parse, serialize,
 )
 from qabacus.turns import DyadicTurn, Turn
 
@@ -138,23 +137,51 @@ def test_labels_do_not_affect_equality():
     assert a == b
 
 
-def test_embed_shifts_qubits():
-    c = Circuit(2, (Hadamard(0), Phase(DyadicTurn(1, 2), 1, (Control(0),)),
-                    Swap(0, 1)))
-    e = embed(c, 5, offset=2)
-    assert e.gates == (Hadamard(2), Phase(DyadicTurn(1, 2), 3, (Control(2),)),
-                       Swap(2, 3))
+def test_from_blocks_labels_block_starts():
+    joined = Circuit.from_blocks(2, [
+        ("a", [Hadamard(0)]),
+        ("empty", []),
+        ("b", (Hadamard(1), X(0))),
+        ("end", ()),
+    ])
+    assert joined.gates == (Hadamard(0), Hadamard(1), X(0))
+    assert joined.labels == ((0, "a"), (1, "empty"), (1, "b"), (3, "end"))
+    assert serialize(joined) == (
+        "qubits 2\n# a\nH 0\n# empty\n# b\nH 1\nX 0\n# end\n")
     with pytest.raises(ValueError):
-        embed(c, 3, offset=2)
+        Circuit.from_blocks(2, [("wide", [Hadamard(2)])])
 
 
-def test_concat_checks_widths():
-    with pytest.raises(ValueError):
-        concat(Circuit(2), Circuit(3))
-    joined = concat(Circuit(2, (Hadamard(0),), labels=((0, "a"),)),
-                    Circuit(2, (Hadamard(1),), labels=((1, "b"),)))
-    assert joined.gates == (Hadamard(0), Hadamard(1))
-    assert joined.labels == ((0, "a"), (2, "b"))
+def test_builders_construct_one_circuit(monkeypatch):
+    layout = ArrayLayout(2, 3)
+    builders = {
+        "build_qft": lambda: build_qft(3),
+        "build_inverse_qft": lambda: build_inverse_qft(3),
+        "build_count_stage": lambda: build_count_stage(3),
+        "build_counter": lambda: build_counter(3),
+        "build_phase_estimator":
+            lambda: build_phase_estimator(count_phase_table(2), 2),
+        "build_qft_phase_estimator": lambda: build_qft_phase_estimator(2),
+        "build_encoder": lambda: build_encoder(5, 3),
+        "build_create":
+            lambda: build_create(ArrayContents((1, 2, 0, 5)), layout),
+        "build_create_arithmetic":
+            lambda: build_create_arithmetic(1, 3, layout),
+        "build_update_add":
+            lambda: build_update_add(1, IndexPredicate.even(), layout),
+    }
+    built = []
+    init = Circuit.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Circuit, "__init__", counting_init)
+    for name, build in builders.items():
+        built.clear()
+        circuit = build()
+        assert built == [circuit], name
 
 
 def test_lower_negative_controls_state_identical():

@@ -162,6 +162,16 @@ def test_array_dump_detects_malformed_state(capsys, tmp_path):
     assert "deterministic" in err
 
 
+def test_array_dump_rejects_bad_tolerance(capsys, tmp_path):
+    state = str(tmp_path / "array.json")
+    run_cli(capsys, "array", "create", "1,2,0,5", "-p", "3", "--state", state)
+    for tolerance in ("nan", "2", "0"):
+        code, out, err = run_cli(capsys, "array", "dump", "--tolerance",
+                                 tolerance, "--state", state)
+        assert code == 2 and out == "", tolerance
+        assert "tolerance" in err
+
+
 def test_circuit_print_golden(capsys):
     code, out, _ = run_cli(capsys, "circuit", "print", "qft", "3")
     assert code == 0
