@@ -6,14 +6,15 @@ Exit codes: 0 ok, 2 usage or input error, 3 determinism violation.
 """
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 
 from .circuit import ParseError, gate_count_report, serialize
 from .counting import CountTarget, ancilla_width, build_count_stage, \
     build_counter, run_count
-from .encoding import build_encoder, decode_register, encode_value, \
-    fourier_phase
+from .encoding import build_encoder, decode_register, fourier_phase
 from .phase_estimation import build_qft_phase_estimator
 from .qarray import ArrayContents, ArrayLayout, IndexPredicate, MalformedArray, \
     build_create, build_update_add, read_all
@@ -99,9 +100,18 @@ def _save_state(path: str, layout: ArrayLayout, state: StateVector) -> None:
         "data_qubits": layout.data_qubits,
         "amplitudes": [[a.real, a.imag] for a in state.amplitudes],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh)
-        fh.write("\n")
+    # Write a sibling file and rename it over the old one, so a failed
+    # write never leaves a half-written state file behind.
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(blob, fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _load_state(path: str) -> tuple[ArrayLayout, StateVector]:
@@ -144,7 +154,7 @@ def _cmd_encode(args) -> int:
     d, n = args.value, args.qubits
     circuit = build_encoder(d, n)
     turns = [format_turn(fourier_phase(d, l, n)) for l in range(n - 1, -1, -1)]
-    state = encode_value(d, n)
+    state = apply_circuit(new_basis_state(n, 0), circuit)
     decoded = decode_register(state, args.tolerance)
     if args.json:
         _emit_json("encode", {"value": d, "qubits": n},
@@ -161,18 +171,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_array_create(args) -> int:
     contents = _parse_values(args.values)
-    count = len(contents)
-    if args.m is not None:
-        m = args.m
-        if count != 1 << m:
-            raise ValueError(
-                f"{count} values do not fill 2**{m} slots (pad with zeros)")
-    else:
-        m = (count - 1).bit_length()
-        if count != 1 << m or count < 2:
-            raise ValueError(
-                f"value count {count} is not a power of two >= 2; "
-                "pad with zeros or pass -m")
+    # ArrayLayout and build_create reject any shape that does not fit.
+    m = args.m if args.m is not None else (len(contents) - 1).bit_length()
     layout = ArrayLayout(m, args.p)
     circuit = build_create(contents, layout)
     state = apply_circuit(new_basis_state(layout.num_qubits, 0), circuit)

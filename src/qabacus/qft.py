@@ -1,10 +1,10 @@
 """Quantum Fourier transform builders and the analytic Fourier state.
 
 Convention: the forward transform maps |d> to
-``2**(-n/2) * sum_k exp(+i*2*pi*k*d/2**n) |k>``.  With the trailing
-swap network enabled (the default), qubit ``l`` of the result carries
+``2**(-n/2) * sum_k exp(+i*2*pi*k*d/2**n) |k>``.  The trailing swap
+network is always included, so qubit ``l`` of the result carries
 the binary-fraction phase ``fourier_phase(d, l, n) = (d mod 2**(n-l)) /
-2**(n-l)`` turns, so a plain bit-ordered readout recovers ``d`` after
+2**(n-l)`` turns and a plain bit-ordered readout recovers ``d`` after
 the inverse transform.
 """
 
@@ -17,8 +17,8 @@ from .turns import DyadicTurn
 __all__ = ["build_qft", "build_inverse_qft", "analytic_fourier_state"]
 
 
-def _qft_gates(n: int, offset: int = 0, *, inverse: bool = False,
-               with_swaps: bool = True) -> list[Gate]:
+def _qft_gates(n: int, offset: int = 0, *,
+               inverse: bool = False) -> list[Gate]:
     """Gates of the forward or inverse transform on qubits
     [offset, offset + n) of a wider register.
 
@@ -32,27 +32,26 @@ def _qft_gates(n: int, offset: int = 0, *, inverse: bool = False,
         for c in range(t - 1, -1, -1):
             gates.append(Phase(DyadicTurn(sign, t - c + 1), offset + t,
                                (Control(offset + c),)))
-    if with_swaps:
-        for i in range(n // 2):
-            gates.append(Swap(offset + i, offset + n - 1 - i))
+    for i in range(n // 2):
+        gates.append(Swap(offset + i, offset + n - 1 - i))
     return gates[::-1] if inverse else gates
 
 
-def build_qft(n: int, with_swaps: bool = True) -> Circuit:
+def build_qft(n: int) -> Circuit:
     """Forward Fourier transform on n qubits.
 
     Exactly n Hadamards and n*(n-1)/2 controlled phase gates with turns
-    1/2**k, plus floor(n/2) trailing swaps when with_swaps is set.
+    1/2**k, plus floor(n/2) trailing swaps.
     """
     _check_width(n)
-    return Circuit(n, _qft_gates(n, with_swaps=with_swaps))
+    return Circuit(n, _qft_gates(n))
 
 
-def build_inverse_qft(n: int, with_swaps: bool = True) -> Circuit:
+def build_inverse_qft(n: int) -> Circuit:
     """Inverse Fourier transform; maps analytic_fourier_state(d, n) back
     to |d> deterministically."""
     _check_width(n)
-    return Circuit(n, _qft_gates(n, inverse=True, with_swaps=with_swaps))
+    return Circuit(n, _qft_gates(n, inverse=True))
 
 
 def analytic_fourier_state(d: int, n: int) -> StateVector:

@@ -61,7 +61,7 @@ class StateVector:
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} "
                 f"qubits, got shape {amps.shape}")
         sumsq = float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
-        if abs(sumsq - 1.0) > NORM_TOLERANCE:
+        if not abs(sumsq - 1.0) <= NORM_TOLERANCE:  # NaN fails too
             raise ValueError(f"state is not normalized: sum |a|^2 = {sumsq!r}")
         amps.flags.writeable = False
         self._num_qubits = num_qubits
@@ -139,20 +139,9 @@ def _apply_gate_inplace(amps: np.ndarray, n: int, gate: Gate) -> None:
         raise ValueError(f"not a gate: {gate!r}")
 
 
-def _check_gate_fits(gate: Gate, num_qubits: int) -> None:
-    worst = max(gate.qubits)
-    if worst >= num_qubits:
-        raise ValueError(
-            f"gate {gate!r} touches qubit {worst} but the state has "
-            f"{num_qubits} qubits")
-
-
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """New state with one gate applied.  Norm is preserved to 1e-12."""
-    _check_gate_fits(gate, state.num_qubits)
-    amps = state.amplitudes.copy()
-    _apply_gate_inplace(amps, state.num_qubits, gate)
-    return StateVector(state.num_qubits, amps)
+    return apply_circuit(state, Circuit(state.num_qubits, (gate,)))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -170,9 +159,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 def outcome_distribution(state: StateVector) -> dict[int, float]:
     """Measurement distribution {basis index: probability}, zero entries
     omitted.  Probabilities sum to 1 within 1e-10."""
-    probs = state.probabilities()
-    nz = np.nonzero(probs)[0]
-    return {int(i): float(probs[i]) for i in nz}
+    return marginal_distribution(state, range(state.num_qubits))
 
 
 def _marginal_probs(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
@@ -184,12 +171,11 @@ def _marginal_probs(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
     for q in qs:
         if not 0 <= q < state.num_qubits:
             raise ValueError(f"qubit {q} out of range")
-    idx = np.arange(state.dim)
-    keys = np.zeros(state.dim, dtype=np.int64)
-    for bit, q in enumerate(qs):
-        keys |= ((idx >> q) & 1) << bit
-    return np.bincount(keys, weights=state.probabilities(),
-                       minlength=1 << len(qs))
+    # Qubit q is axis n-1-q; qubits[-1] leads so that qubits[i] is bit i.
+    n = state.num_qubits
+    probs = state.probabilities().reshape((2,) * n)
+    return np.einsum(probs, list(range(n)),
+                     [n - 1 - q for q in reversed(qs)]).reshape(-1)
 
 
 def marginal_distribution(state: StateVector,
@@ -210,10 +196,8 @@ def deterministic_outcome(state: StateVector, tolerance: float = 1e-9, *,
     the threshold.
     """
     _check_tolerance(tolerance)
-    if qubits is None:
-        probs = state.probabilities()
-    else:
-        probs = _marginal_probs(state, qubits)
+    probs = _marginal_probs(
+        state, range(state.num_qubits) if qubits is None else qubits)
     best = int(np.argmax(probs))
     p = float(probs[best])
     if p < 1.0 - tolerance:

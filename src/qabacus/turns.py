@@ -1,6 +1,6 @@
 """Phase arithmetic in units of full turns (angle = 2*pi*turn).
 
-A ``Turn`` is a plain float in [0, 1).  A ``DyadicTurn`` is an exact
+A ``Turn`` is a plain finite float in [0, 1).  A ``DyadicTurn`` is an exact
 fraction with a power-of-two denominator; sums, negations and
 power-of-two scalings of dyadic turns never round.
 """
@@ -31,7 +31,10 @@ class Turn:
     __slots__ = ("_value",)
 
     def __init__(self, value: float):
-        self._value = _wrap_unit(float(value))
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"turn must be finite, got {value!r}")
+        self._value = _wrap_unit(value)
 
     @property
     def value(self) -> float:
@@ -112,7 +115,7 @@ class DyadicTurn(Turn):
             k = 0
         self._numerator = num
         self._denom_exponent = k
-        Turn.__init__(self, math.ldexp(num, -k))
+        self._value = math.ldexp(num, -k)  # finite and in [0, 1) already
 
     @property
     def numerator(self) -> int:

@@ -122,6 +122,11 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError):
         parse("")
 
+    for turn in ("nan", "inf"):
+        with pytest.raises(ParseError) as err:
+            parse(f"qubits 1\nP {turn} -> 0")
+        assert err.value.line == 2
+
 
 def test_labels_survive_serialize_parse():
     c = Circuit(2, (Hadamard(1), Hadamard(0)),
@@ -270,3 +275,22 @@ def test_serialize_parse_roundtrip(circuit):
     back = parse(serialize(circuit))
     assert back == circuit
     assert back.labels == circuit.labels
+
+
+_FUZZ_TOKENS = st.sampled_from([
+    "qubits", "H", "X", "SWAP", "P", "->", "#", "0", "1", "2", "+0", "-1",
+    "+", "-", "nan", "inf", "-inf", "1e400", "1/0", "1/3", "1/2", "5/8",
+    "-1/4", "0.25",
+])
+_fuzz_lines = st.lists(st.one_of(_FUZZ_TOKENS, st.text(max_size=4)),
+                       max_size=6).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_fuzz_lines, max_size=6).map("\n".join))
+def test_parse_accepts_or_raises_parse_error(text):
+    try:
+        circuit = parse(text)
+    except ParseError:
+        return
+    assert parse(serialize(circuit)) == circuit

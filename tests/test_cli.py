@@ -1,7 +1,8 @@
 import json
+import os
 from pathlib import Path
 
-from qabacus import build_counter, serialize
+from qabacus import Circuit, build_counter, serialize
 from qabacus.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -84,6 +85,21 @@ def test_encode_out_of_range(capsys):
     assert "range" in err
 
 
+def test_encode_builds_each_circuit_once(capsys, monkeypatch):
+    built = []
+    init = Circuit.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Circuit, "__init__", counting_init)
+    code, _, _ = run_cli(capsys, "encode", "5", "--qubits", "3")
+    assert code == 0
+    # the encoder and the decoding inverse QFT
+    assert len(built) == 2
+
+
 def test_encode_json(capsys):
     code, out, _ = run_cli(capsys, "encode", "5", "--qubits", "3", "--json")
     assert code == 0
@@ -127,12 +143,13 @@ def test_array_create_rejects_bad_shapes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "array", "create", "1,2,3", "-p", "2",
                            "--state", state)
     assert code == 2 and "power of two" in err
-    code, _, _ = run_cli(capsys, "array", "create", "1,2", "-p", "2", "-m", "2",
-                         "--state", state)
-    assert code == 2
-    code, _, _ = run_cli(capsys, "array", "create", "1,9", "-p", "2",
-                         "--state", state)
-    assert code == 2
+    for argv in (["1,2", "-p", "2", "-m", "2"], ["1,9", "-p", "2"],
+                 ["5", "-p", "2"]):
+        code, out, err = run_cli(capsys, "array", "create", *argv,
+                                 "--state", state)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert not os.path.exists(state)
 
 
 def test_array_add_rejects_bad_predicate(capsys, tmp_path):
@@ -160,6 +177,38 @@ def test_array_dump_detects_malformed_state(capsys, tmp_path):
     code, _, err = run_cli(capsys, "array", "dump", "--state", str(state))
     assert code == 3
     assert "deterministic" in err
+
+
+def test_array_dump_rejects_non_finite_state(capsys, tmp_path):
+    state = tmp_path / "nan.json"
+    state.write_text(json.dumps({
+        "index_qubits": 1, "data_qubits": 1,
+        "amplitudes": [[float("nan"), 0.0]] * 4,
+    }))
+    code, out, err = run_cli(capsys, "array", "dump", "--state", str(state))
+    assert code == 2 and out == ""
+    assert "normalized" in err
+
+
+def test_array_add_failed_write_keeps_old_state(capsys, tmp_path,
+                                                 monkeypatch):
+    state = tmp_path / "array.json"
+    run_cli(capsys, "array", "create", "1,2,0,5", "-p", "3",
+            "--state", str(state))
+    before = state.read_bytes()
+
+    def failing_dump(obj, fh):
+        fh.write(json.dumps(obj)[:100])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    code, _, err = run_cli(capsys, "array", "add", "1", "--state", str(state))
+    monkeypatch.undo()
+    assert code == 2 and "No space left" in err
+    assert state.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["array.json"]
+    code, out, _ = run_cli(capsys, "array", "dump", "--state", str(state))
+    assert code == 0 and out == "[1,2,0,5]\n"
 
 
 def test_array_dump_rejects_bad_tolerance(capsys, tmp_path):

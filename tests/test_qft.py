@@ -12,7 +12,6 @@ from qabacus.reference import ref_dft_state
 
 def test_single_qubit_qft_is_hadamard():
     assert build_qft(1) == Circuit(1, (Hadamard(0),))
-    assert build_qft(1, with_swaps=False) == Circuit(1, (Hadamard(0),))
 
 
 def test_qft_of_zero_is_uniform():
@@ -51,7 +50,6 @@ def test_inverse_qft_decodes_fourier_states():
 def test_inverse_is_structural_inverse():
     for n in (1, 2, 4):
         assert build_inverse_qft(n) == invert(build_qft(n))
-        assert build_inverse_qft(n, False) == invert(build_qft(n, False))
 
 
 def test_unitarity_on_random_states():
@@ -66,12 +64,11 @@ def test_unitarity_on_random_states():
 
 def test_gate_count_formula():
     for n in range(1, 9):
-        for with_swaps in (True, False):
-            report = gate_count_report(build_qft(n, with_swaps))
-            assert report["h"] == n
-            assert report["cphase"] == n * (n - 1) // 2
-            assert report["swap"] == (n // 2 if with_swaps else 0)
-            assert report["phase"] == 0 and report["x"] == 0
+        report = gate_count_report(build_qft(n))
+        assert report["h"] == n
+        assert report["cphase"] == n * (n - 1) // 2
+        assert report["swap"] == n // 2
+        assert report["phase"] == 0 and report["x"] == 0
 
 
 def test_analytic_state_of_zero_is_positive_uniform():

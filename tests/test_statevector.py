@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -38,6 +39,9 @@ def test_statevector_requires_normalization():
         StateVector(1, [1.0, 1.0])
     with pytest.raises(ValueError):
         StateVector(2, [1.0, 0.0])  # wrong length
+    for bad in ([math.nan, 0], [math.inf, 0], [complex(1, math.nan), 0]):
+        with pytest.raises(ValueError):
+            StateVector(1, bad)  # not finite
 
 
 def test_amplitudes_are_read_only():
@@ -140,6 +144,30 @@ def test_marginal_distribution_bit_mapping():
         marginal_distribution(s, [])
     with pytest.raises(ValueError):
         marginal_distribution(s, [0, 0])
+
+
+def _loop_marginal(state, qubits):
+    out = [0.0] * (1 << len(qubits))
+    for index, p in enumerate(state.probabilities()):
+        out[sum(((index >> q) & 1) << bit
+                for bit, q in enumerate(qubits))] += float(p)
+    return out
+
+
+def test_marginal_distribution_matches_loop_reference():
+    rng = np.random.default_rng(41)
+    eps = np.finfo(np.float64).eps
+    for n in range(1, 6):
+        state = random_state(n, rng)
+        for k in range(1, n + 1):
+            # Each entry sums 2**(n-k) probabilities totalling at most 1,
+            # so two summation orders differ by at most eps per term.
+            tolerance = eps * (1 << (n - k))
+            for qubits in itertools.permutations(range(n), k):
+                dist = marginal_distribution(state, qubits)
+                for key, expected in enumerate(_loop_marginal(state, qubits)):
+                    assert abs(dist.get(key, 0.0) - expected) <= tolerance, \
+                        (n, qubits, key)
 
 
 def test_norm_preserved_across_random_gates():

@@ -79,6 +79,15 @@ def test_format_and_parse():
         parse_turn("banana")
 
 
+def test_non_finite_turns_rejected():
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            Turn(value)
+    for token in ("nan", "inf", "-inf", "1e400"):
+        with pytest.raises(ValueError):
+            parse_turn(token)
+
+
 def test_denominator_cap():
     with pytest.raises(ValueError):
         DyadicTurn(1, 53)
