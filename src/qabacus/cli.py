@@ -10,10 +10,12 @@ import contextlib
 import json
 import os
 import sys
+import zipfile
 
-from .circuit import ParseError, gate_count_report, serialize
-from .counting import CountTarget, ancilla_width, build_count_stage, \
-    build_counter, run_count
+import numpy as np
+
+from .circuit import Circuit, ParseError, gate_count_report, serialize
+from .counting import CountTarget, _check_bits, _read_count, build_counter
 from .encoding import build_encoder, decode_register, fourier_phase
 from .phase_estimation import build_qft_phase_estimator
 from .qarray import ArrayContents, ArrayLayout, IndexPredicate, MalformedArray, \
@@ -25,7 +27,12 @@ from .turns import format_turn
 
 __all__ = ["main"]
 
-DEFAULT_STATE_FILE = "qarray.json"
+DEFAULT_STATE_FILE = "qarray.npz"
+
+# Every state file of the JSON format began with these bytes.
+_JSON_STATE_START = b'{"index_qubits"'
+# Every .npz archive begins with a zip local file header.
+_ZIP_START = b"PK\x03\x04"
 
 _GATE_KEY_ORDER = ("cphase", "h", "phase", "swap", "x", "total")
 
@@ -95,18 +102,15 @@ def _dump_state_rows(state: StateVector) -> list[str]:
 
 
 def _save_state(path: str, layout: ArrayLayout, state: StateVector) -> None:
-    blob = {
-        "index_qubits": layout.index_qubits,
-        "data_qubits": layout.data_qubits,
-        "amplitudes": [[a.real, a.imag] for a in state.amplitudes],
-    }
     # Write a sibling file and rename it over the old one, so a failed
-    # write never leaves a half-written state file behind.
+    # write never leaves a half-written state file behind.  np.savez gets
+    # the open handle: given a path, it would append ".npz" to the name.
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(blob, fh)
-            fh.write("\n")
+        with open(tmp, "wb") as fh:
+            np.savez(fh, index_qubits=layout.index_qubits,
+                     data_qubits=layout.data_qubits,
+                     amplitudes=state.amplitudes)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -114,39 +118,63 @@ def _save_state(path: str, layout: ArrayLayout, state: StateVector) -> None:
         raise
 
 
+def _layout_field(payload, key: str) -> int:
+    field = payload[key]
+    if field.shape != () or field.dtype.kind not in "iu":
+        raise ValueError(f"{key} must be an integer scalar, got "
+                         f"{field.dtype} of shape {field.shape}")
+    return field.item()
+
+
 def _load_state(path: str) -> tuple[ArrayLayout, StateVector]:
     try:
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise ValueError(
             f"no array state at {path!r}; run 'array create' first") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"corrupt state file {path!r}: {exc}") from None
-    try:
-        layout = ArrayLayout(blob["index_qubits"], blob["data_qubits"])
-        amps = [complex(re, im) for re, im in blob["amplitudes"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"corrupt state file {path!r}: {exc}") from None
+    with fh:
+        head = fh.read(len(_JSON_STATE_START))
+        if head == _JSON_STATE_START:
+            raise ValueError(
+                f"{path!r} is an old JSON state file; re-run 'array create' "
+                "to write the binary format")
+        fh.seek(0)
+        try:
+            # np.load reads anything else as a bare array or a pickle.
+            if not head.startswith(_ZIP_START):
+                raise ValueError("not an .npz archive")
+            with np.load(fh, allow_pickle=False) as payload:
+                layout = ArrayLayout(_layout_field(payload, "index_qubits"),
+                                     _layout_field(payload, "data_qubits"))
+                amps = payload["amplitudes"]
+            if amps.dtype != np.complex128:
+                raise ValueError(f"amplitudes must be complex128, got {amps.dtype}")
+        # zipfile raises the odd ones on damaged headers, e.g. a flipped
+        # version, compression or encryption field, or a bad offset; numpy
+        # allocates the shape an array header claims before reading it.
+        except (EOFError, KeyError, MemoryError, NotImplementedError, OSError,
+                RuntimeError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"corrupt state file {path!r}: {exc}") from None
     return layout, StateVector(layout.num_qubits, amps)
 
 
 def _cmd_count(args) -> int:
-    bits = _parse_bits(args.bits)
+    bits = _check_bits(_parse_bits(args.bits))
     target = CountTarget(args.target)
-    n = len(bits)
-    m = ancilla_width(n)
-    count = run_count(bits, target, tolerance=args.tolerance)
+    counter = build_counter(len(bits), target)
+    count = _read_count(counter, bits, args.tolerance)
+    m = counter.num_qubits - len(bits)
     # The reported counts cover the counting stage (ancilla prep plus the
     # n*m rotations); the fixed inverse-QFT readout is excluded.
-    counts = gate_count_report(build_count_stage(n, target))
+    readout = next(pos for pos, label in counter.labels if label == "readout")
+    counts = gate_count_report(Circuit(counter.num_qubits, counter.gates[:readout]))
     if args.json:
         _emit_json("count", {"bits": args.bits, "target": target.value},
                    {"count": count, "m": m}, counts)
         return 0
     print(f"count={count} m={m} {_format_counts(counts)}")
     if args.circuit:
-        print(serialize(build_counter(n, target)), end="")
+        print(serialize(counter), end="")
     return 0
 
 

@@ -91,20 +91,30 @@ def build_counter(n: int, target: CountTarget = CountTarget.ONES, *,
     return _counting_circuit(n, target, allow_wraparound, readout=True)
 
 
-def run_count(bits, target: CountTarget = CountTarget.ONES, *,
-              allow_wraparound: bool = False, tolerance: float = 1e-9) -> int:
-    """Count by simulation: build the counter, run it on the basis state
-    given by ``bits`` (bits[k] = state of input qubit k) and read the
-    ancilla register deterministically."""
+def _check_bits(bits) -> list[int]:
     bits = list(bits)
     if not 1 <= len(bits) <= MAX_COUNT_BITS:
         raise ValueError(
             f"bit sequence length must be in [1, {MAX_COUNT_BITS}], got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"bits must be 0 or 1, got {bits}")
-    n = len(bits)
-    circuit = build_counter(n, target, allow_wraparound=allow_wraparound)
-    m = circuit.num_qubits - n
+    return bits
+
+
+def _read_count(counter: Circuit, bits: list[int], tolerance: float) -> int:
+    """Run a counter built for len(bits) inputs on the basis state given
+    by ``bits`` and read its ancilla register deterministically."""
+    n, width = len(bits), counter.num_qubits
     basis = sum(b << k for k, b in enumerate(bits))
-    state = apply_circuit(new_basis_state(n + m, basis), circuit)
-    return deterministic_outcome(state, tolerance, qubits=range(n, n + m))
+    state = apply_circuit(new_basis_state(width, basis), counter)
+    return deterministic_outcome(state, tolerance, qubits=range(n, width))
+
+
+def run_count(bits, target: CountTarget = CountTarget.ONES, *,
+              allow_wraparound: bool = False, tolerance: float = 1e-9) -> int:
+    """Count by simulation: build the counter, run it on the basis state
+    given by ``bits`` (bits[k] = state of input qubit k) and read the
+    ancilla register deterministically."""
+    bits = _check_bits(bits)
+    counter = build_counter(len(bits), target, allow_wraparound=allow_wraparound)
+    return _read_count(counter, bits, tolerance)

@@ -10,8 +10,8 @@ deterministic readout.
 
 from .circuit import Circuit, Control, Gate, Hadamard, Phase
 from .qft import build_inverse_qft
-from .statevector import StateVector, apply_circuit, deterministic_outcome, \
-    new_basis_state
+from .statevector import StateVector, _check_width, apply_circuit, \
+    deterministic_outcome, new_basis_state
 from .turns import DyadicTurn
 
 __all__ = [
@@ -54,6 +54,7 @@ def build_encoder(d: int, n: int) -> Circuit:
 
     Values outside [0, 2**n) are rejected rather than silently reduced.
     """
+    _check_width(n)
     return Circuit.from_blocks(n, [
         ("prep", [Hadamard(l) for l in range(n - 1, -1, -1)]),
         ("encode", encoding_phase_gates(d, n)),

@@ -56,7 +56,12 @@ class Turn:
         if exponent < 0:
             raise ValueError(f"exponent must be >= 0, got {exponent}")
         # Scaling a float by a power of two is exact, so no error accumulates.
-        return Turn(math.ldexp(self._value, exponent) % 1.0)
+        try:
+            scaled = math.ldexp(self._value, exponent)
+        except OverflowError:
+            # Every float of 2**53 or more is an integer: no fraction is left.
+            return Turn(0.0)
+        return Turn(scaled % 1.0)
 
     def dyadic_exponent(self) -> int | None:
         """Smallest k with value * 2**k integral, or None if there is none."""

@@ -48,6 +48,10 @@ def test_times_pow2_principal_value():
     assert DyadicTurn(5, 3).times_pow2(1) == DyadicTurn(1, 2)  # 5/4 mod 1
     assert DyadicTurn(5, 3).times_pow2(3) == DyadicTurn(0, 0)
     assert Turn(0.3).times_pow2(2) == Turn((0.3 * 4) % 1.0)
+    # 2**1100 / 3 overflows a float; every float that large is an integer.
+    assert Turn(1 / 3).times_pow2(1100).value == 0.0
+    # exponent >= 53 alone does not make the result 0
+    assert Turn(1e-300).times_pow2(1000).value == pytest.approx(0.715, abs=1e-3)
 
 
 def test_dyadic_exponent():
@@ -134,3 +138,12 @@ def test_dyadic_negation_never_rounds(a):
 @given(_dyadics, st.integers(min_value=0, max_value=40))
 def test_dyadic_times_pow2_matches_fraction(a, l):
     assert _as_fraction(a.times_pow2(l)) == (_as_fraction(a) * (1 << l)) % 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+       st.integers(min_value=0, max_value=1100))
+def test_times_pow2_matches_fraction(value, exponent):
+    turn = Turn(value)
+    exact = (Fraction(turn.value) * (1 << exponent)) % 1
+    assert turn.times_pow2(exponent).value == float(exact)
