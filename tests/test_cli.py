@@ -158,6 +158,35 @@ def test_array_chain_golden(capsys, tmp_path):
     assert transcript == (GOLDEN_DIR / "cli_array_chain.txt").read_text()
 
 
+JSON_GOLDEN_ARGVS = (
+    ["count", "101"],
+    ["count", "0110", "--target", "zeros"],
+    ["encode", "5", "--qubits", "3"],
+    ["array", "create", "1,2,0,5", "-p", "3", "--state", "s.npz"],
+    ["array", "dump", "--state", "s.npz"],
+    ["array", "add", "1", "--where", "even", "--state", "s.npz"],
+    ["array", "add", "3", "--where", "mask=2,match=2", "--state", "s.npz"],
+    ["array", "dump", "--state", "s.npz"],
+    ["circuit", "print", "qft", "3"],
+    ["circuit", "print", "iqft", "3"],
+    ["circuit", "print", "qft-pea", "2"],
+    ["circuit", "print", "counter", "3", "zeros"],
+    ["circuit", "print", "encoder", "5", "3"],
+)
+
+
+def test_json_golden(capsys, tmp_path, monkeypatch):
+    # A relative state path keeps "state_file" the same in every run.
+    monkeypatch.chdir(tmp_path)
+    transcript = ""
+    for argv in JSON_GOLDEN_ARGVS:
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert code == 0 and err == "", argv
+        assert out.count("\n") == 1, argv
+        transcript += out
+    assert transcript == (GOLDEN_DIR / "cli_json.txt").read_text()
+
+
 def test_array_trivial_dump(capsys, tmp_path):
     state = str(tmp_path / "array.npz")
     run_cli(capsys, "array", "create", "0,0", "-p", "1", "--state", state)
