@@ -7,10 +7,14 @@ Exit codes: 0 ok, 2 usage or input error, 3 determinism violation.
 
 import argparse
 import contextlib
+import functools
+import itertools
 import json
 import os
 import sys
 import zipfile
+from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,11 +50,15 @@ def _format_values(values) -> str:
     return "[" + ",".join(str(v) for v in values) + "]"
 
 
-def _emit_json(command: str, inputs: dict, result: dict,
-               gate_counts: dict) -> None:
-    blob = {"command": command, "inputs": inputs, "result": result,
-            "gate_counts": gate_counts}
-    print(json.dumps(blob, sort_keys=True))
+class _Reply(NamedTuple):
+    """What a command found.  ``main`` prints either ``text``, a sequence
+    of output chunks written only in text mode, or the other three fields
+    as one JSON object."""
+
+    inputs: dict
+    result: dict
+    gate_counts: dict
+    text: Iterable[str]
 
 
 def _parse_bits(text: str) -> list[int]:
@@ -89,16 +97,11 @@ def _parse_values(text: str) -> ArrayContents:
             from None
 
 
-def _dump_state_rows(state: StateVector) -> list[str]:
-    rows = []
+def _dump_state_rows(state: StateVector) -> Iterator[str]:
     probs = state.probabilities()
-    for i in range(state.dim):
-        if probs[i] <= 1e-12:
-            continue
+    for i in np.flatnonzero(probs > 1e-12):
         a = state.amplitudes[i]
-        bits = format(i, f"0{state.num_qubits}b")
-        rows.append(f"{bits} {a.real:.10e} {a.imag:.10e} {probs[i]:.10e}")
-    return rows
+        yield f"{i:0{state.num_qubits}b} {a.real:.10e} {a.imag:.10e} {probs[i]:.10e}\n"
 
 
 def _save_state(path: str, layout: ArrayLayout, state: StateVector) -> None:
@@ -158,7 +161,7 @@ def _load_state(path: str) -> tuple[ArrayLayout, StateVector]:
     return layout, StateVector(layout.num_qubits, amps)
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> _Reply:
     bits = _check_bits(_parse_bits(args.bits))
     target = CountTarget(args.target)
     counter = build_counter(len(bits), target)
@@ -168,36 +171,27 @@ def _cmd_count(args) -> int:
     # n*m rotations); the fixed inverse-QFT readout is excluded.
     readout = next(pos for pos, label in counter.labels if label == "readout")
     counts = gate_count_report(Circuit(counter.num_qubits, counter.gates[:readout]))
-    if args.json:
-        _emit_json("count", {"bits": args.bits, "target": target.value},
-                   {"count": count, "m": m}, counts)
-        return 0
-    print(f"count={count} m={m} {_format_counts(counts)}")
+    text = [f"count={count} m={m} {_format_counts(counts)}\n"]
     if args.circuit:
-        print(serialize(counter), end="")
-    return 0
+        text.append(serialize(counter))
+    return _Reply({"bits": args.bits, "target": target.value},
+                  {"count": count, "m": m}, counts, text)
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> _Reply:
     d, n = args.value, args.qubits
     circuit = build_encoder(d, n)
     turns = [format_turn(fourier_phase(d, l, n)) for l in range(n - 1, -1, -1)]
     state = apply_circuit(new_basis_state(n, 0), circuit)
     decoded = decode_register(state, args.tolerance)
-    if args.json:
-        _emit_json("encode", {"value": d, "qubits": n},
-                   {"turns": turns, "decoded": decoded},
-                   gate_count_report(circuit))
-        return 0
-    print(f"turns={' '.join(turns)}")
-    print(f"decoded={decoded}")
+    text = [f"turns={' '.join(turns)}\n", f"decoded={decoded}\n"]
     if args.dump_state:
-        for row in _dump_state_rows(state):
-            print(row)
-    return 0
+        text = itertools.chain(text, _dump_state_rows(state))
+    return _Reply({"value": d, "qubits": n}, {"turns": turns, "decoded": decoded},
+                  gate_count_report(circuit), text)
 
 
-def _cmd_array_create(args) -> int:
+def _cmd_array_create(args) -> _Reply:
     contents = _parse_values(args.values)
     # ArrayLayout and build_create reject any shape that does not fit.
     m = args.m if args.m is not None else (len(contents) - 1).bit_length()
@@ -206,19 +200,14 @@ def _cmd_array_create(args) -> int:
     state = apply_circuit(new_basis_state(layout.num_qubits, 0), circuit)
     stored = read_all(state, layout, args.tolerance)
     _save_state(args.state, layout, state)
-    counts = gate_count_report(circuit)
-    if args.json:
-        _emit_json("array-create",
-                   {"values": list(contents.values), "index_qubits": m,
-                    "data_qubits": args.p},
-                   {"contents": list(stored.values), "state_file": args.state},
-                   counts)
-        return 0
-    print(f"m={m} p={args.p} contents={_format_values(stored.values)}")
-    return 0
+    return _Reply(
+        {"values": list(contents.values), "index_qubits": m, "data_qubits": args.p},
+        {"contents": list(stored.values), "state_file": args.state},
+        gate_count_report(circuit),
+        [f"m={m} p={args.p} contents={_format_values(stored.values)}\n"])
 
 
-def _cmd_array_add(args) -> int:
+def _cmd_array_add(args) -> _Reply:
     layout, state = _load_state(args.state)
     predicate = _parse_predicate(args.where)
     before = read_all(state, layout, args.tolerance)
@@ -226,64 +215,60 @@ def _cmd_array_add(args) -> int:
     state = apply_circuit(state, circuit)
     after = read_all(state, layout, args.tolerance)
     _save_state(args.state, layout, state)
-    if args.json:
-        _emit_json("array-add",
-                   {"addend": args.addend, "where": args.where},
-                   {"before": list(before.values), "after": list(after.values)},
-                   gate_count_report(circuit))
-        return 0
-    print(f"before={_format_values(before.values)}")
-    print(f"after={_format_values(after.values)}")
-    return 0
+    return _Reply({"addend": args.addend, "where": args.where},
+                  {"before": list(before.values), "after": list(after.values)},
+                  gate_count_report(circuit),
+                  [f"before={_format_values(before.values)}\n",
+                   f"after={_format_values(after.values)}\n"])
 
 
-def _cmd_array_dump(args) -> int:
+def _cmd_array_dump(args) -> _Reply:
     layout, state = _load_state(args.state)
     contents = read_all(state, layout, args.tolerance)
-    if args.json:
-        _emit_json("array-dump", {},
-                   {"contents": list(contents.values)}, {})
-        return 0
-    print(_format_values(contents.values))
-    return 0
+    return _Reply({}, {"contents": list(contents.values)}, {},
+                  [_format_values(contents.values) + "\n"])
 
 
-def _builder_circuit(name: str, params: list[str]):
-    def want(k):
-        if len(params) != k:
-            raise ValueError(f"builder {name!r} takes {k} argument(s), got {len(params)}")
-
-    if name == "qft":
-        want(1)
-        return build_qft(int(params[0]))
-    if name == "iqft":
-        want(1)
-        return build_inverse_qft(int(params[0]))
-    if name == "qft-pea":
-        want(1)
-        return build_qft_phase_estimator(int(params[0]))
-    if name == "counter":
-        if len(params) not in (1, 2):
-            raise ValueError(f"builder 'counter' takes N [ones|zeros], got {params}")
-        target = CountTarget(params[1]) if len(params) == 2 else CountTarget.ONES
-        return build_counter(int(params[0]), target)
-    if name == "encoder":
-        want(2)
-        return build_encoder(int(params[0]), int(params[1]))
-    raise ValueError(
-        f"unknown builder {name!r}; choose qft, iqft, qft-pea, counter or encoder")
+# Each builder, its parameter names in order, and how many of them are
+# required.  The parameter "target" is a CountTarget, every other one an
+# integer.
+_BUILDERS = {
+    "qft": (build_qft, ("n",), 1),
+    "iqft": (build_inverse_qft, ("n",), 1),
+    "qft-pea": (build_qft_phase_estimator, ("n",), 1),
+    "counter": (build_counter, ("n", "target"), 1),
+    "encoder": (build_encoder, ("value", "n"), 2),
+}
 
 
-def _cmd_circuit_print(args) -> int:
+def _builder_param(builder: str, name: str, text: str):
+    parse, kind = (CountTarget, "ones or zeros") if name == "target" \
+        else (int, "an integer")
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(
+            f"builder {builder!r}: {name} must be {kind}, got {text!r}") from None
+
+
+def _builder_circuit(builder: str, params: list[str]) -> Circuit:
+    if builder not in _BUILDERS:
+        raise ValueError(f"unknown builder {builder!r}; "
+                         "choose qft, iqft, qft-pea, counter or encoder")
+    build, names, required = _BUILDERS[builder]
+    if not required <= len(params) <= len(names):
+        takes = " or ".join(str(k) for k in range(required, len(names) + 1))
+        raise ValueError(
+            f"builder {builder!r} takes {takes} argument(s), got {len(params)}")
+    return build(*(_builder_param(builder, name, text)
+                   for name, text in zip(names, params)))
+
+
+def _cmd_circuit_print(args) -> _Reply:
     circuit = _builder_circuit(args.builder, args.params)
     text = serialize(circuit)
-    if args.json:
-        _emit_json("circuit-print",
-                   {"builder": args.builder, "params": args.params},
-                   {"text": text}, gate_count_report(circuit))
-        return 0
-    print(text, end="")
-    return 0
+    return _Reply({"builder": args.builder, "params": args.params},
+                  {"text": text}, gate_count_report(circuit), [text])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,28 +278,29 @@ def build_parser() -> argparse.ArgumentParser:
                     "on a state-vector simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tolerance=True):
+    def declare(p, name, func, tolerance=True):
+        """Give command parser ``p`` the common options, its handler and
+        the ``command`` name of its JSON reply."""
         p.add_argument("--json", action="store_true",
                        help="emit one JSON object instead of text")
         if tolerance:
             p.add_argument("--tolerance", type=float, default=1e-9,
                            help="deterministic-readout threshold (default 1e-9)")
+        p.set_defaults(func=func, json_command=name)
 
     p = sub.add_parser("count", help="count 1s or 0s in a bit string")
     p.add_argument("bits", help="input register, most significant qubit first")
     p.add_argument("--target", choices=["ones", "zeros"], default="ones")
     p.add_argument("--circuit", action="store_true",
                    help="also print the serialized counter circuit")
-    add_common(p)
-    p.set_defaults(func=_cmd_count)
+    declare(p, "count", _cmd_count)
 
     p = sub.add_parser("encode", help="encode an integer as phase shifts")
     p.add_argument("value", type=int)
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--dump-state", action="store_true",
                    help="print 'bitstring re im prob' rows of the encoded state")
-    add_common(p)
-    p.set_defaults(func=_cmd_encode)
+    declare(p, "encode", _cmd_encode)
 
     p = sub.add_parser("array", help="create, update or dump a quantum array")
     asub = p.add_subparsers(dest="array_command", required=True)
@@ -326,21 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index qubits (default: inferred from the value count)")
     c.add_argument("--state", default=DEFAULT_STATE_FILE,
                    help=f"state file (default {DEFAULT_STATE_FILE})")
-    add_common(c)
-    c.set_defaults(func=_cmd_array_create)
+    declare(c, "array-create", _cmd_array_create)
 
     a = asub.add_parser("add", help="add a constant to selected elements")
     a.add_argument("addend", type=int)
     a.add_argument("--where", default="all",
                    help="even, odd, all or mask=M,match=V (default all)")
     a.add_argument("--state", default=DEFAULT_STATE_FILE)
-    add_common(a)
-    a.set_defaults(func=_cmd_array_add)
+    declare(a, "array-add", _cmd_array_add)
 
     d = asub.add_parser("dump", help="print the stored values")
     d.add_argument("--state", default=DEFAULT_STATE_FILE)
-    add_common(d)
-    d.set_defaults(func=_cmd_array_dump)
+    declare(d, "array-dump", _cmd_array_dump)
 
     p = sub.add_parser("circuit", help="inspect builder circuits")
     csub = p.add_subparsers(dest="circuit_command", required=True)
@@ -348,26 +331,35 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("builder",
                     help="qft | iqft | qft-pea | counter | encoder")
     pr.add_argument("params", nargs="*", help="builder arguments")
-    add_common(pr, tolerance=False)
-    pr.set_defaults(func=_cmd_circuit_print)
+    declare(pr, "circuit-print", _cmd_circuit_print, tolerance=False)
 
     return parser
 
 
+# Parsing leaves the parser as it was, so one serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        reply = args.func(args)
     except (NotDeterministic, MalformedArray) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps({"command": args.json_command, "inputs": reply.inputs,
+                          "result": reply.result,
+                          "gate_counts": reply.gate_counts}, sort_keys=True))
+    else:
+        sys.stdout.writelines(reply.text)
+    return 0
 
 
 if __name__ == "__main__":

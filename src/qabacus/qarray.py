@@ -152,26 +152,21 @@ def _create_frame(layout: ArrayLayout, encode: list[Gate]) -> Circuit:
     ])
 
 
-def build_create(contents: ArrayContents, layout: ArrayLayout, *,
-                 factor_common: bool = True) -> Circuit:
+def build_create(contents: ArrayContents, layout: ArrayLayout) -> Circuit:
     """Creation circuit: applied to |0...0> it yields
     2**(-m/2) * sum_j |j, values[j]> within 1e-10.
 
-    Each (index pattern, data level) pair with a nonzero turn becomes
-    one multi-controlled phase gate - exponential in m but exact.  With
-    factor_common, any level whose turn is shared by all indices is
-    emitted once as an uncontrolled gate instead.
+    A data level whose turn is shared by all indices is emitted once as
+    an uncontrolled gate.  Each other (index pattern, data level) pair
+    with a nonzero turn becomes one multi-controlled phase gate -
+    exponential in m but exact.
     """
     _check_contents(contents, layout)
     p = layout.data_qubits
     gates: list[Gate] = []
     turns = [[fourier_phase(v, l, p) for l in range(p)] for v in contents.values]
-    common: list = [None] * p
-    if factor_common:
-        for l in range(p):
-            first = turns[0][l]
-            if all(turns[j][l] == first for j in range(1, layout.length)):
-                common[l] = first
+    common = [turns[0][l] if all(row[l] == turns[0][l] for row in turns) else None
+              for l in range(p)]
     for l in range(p - 1, -1, -1):
         if common[l] is not None and not common[l].is_zero():
             gates.append(Phase(common[l], l))
@@ -257,19 +252,19 @@ def read_all(state: StateVector, layout: ArrayLayout,
             f"state has {state.num_qubits} qubits, layout needs "
             f"{layout.num_qubits}")
     rows = state.probabilities().reshape(layout.length, 1 << layout.data_qubits)
-    floor = 0.5 / layout.length
-    values = []
-    for j in range(layout.length):
-        row = rows[j]
-        mass = float(row.sum())
-        if mass < floor:
+    mass = rows.sum(axis=1)
+    values = rows.argmax(axis=1)
+    peak = rows.max(axis=1)
+    light = mass < 0.5 / layout.length
+    # The first offending index raises; its mass is checked before its peak.
+    bad = np.flatnonzero(light | (peak < (1.0 - tolerance) * mass))
+    if bad.size:
+        j = bad[0]
+        if light[j]:
             raise MalformedArray(
-                f"index {j} holds probability mass {mass:.3g}, expected "
+                f"index {j} holds probability mass {mass[j]:.3g}, expected "
                 f"about {1 / layout.length:.3g}")
-        d = int(np.argmax(row))
-        if float(row[d]) < (1.0 - tolerance) * mass:
-            raise MalformedArray(
-                f"index {j} has no deterministic value: best candidate {d} "
-                f"carries only {float(row[d]) / mass:.6g} of its mass")
-        values.append(d)
-    return ArrayContents(tuple(values))
+        raise MalformedArray(
+            f"index {j} has no deterministic value: best candidate {values[j]} "
+            f"carries only {peak[j] / mass[j]:.6g} of its mass")
+    return ArrayContents(tuple(values.tolist()))

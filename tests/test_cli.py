@@ -400,6 +400,22 @@ def test_circuit_print_unknown_builder(capsys):
     assert "unknown builder" in err
 
 
+def test_circuit_print_names_bad_parameter(capsys):
+    for argv, builder, message in (
+            (["qft", "x"], "qft", "n must be an integer, got 'x'"),
+            (["encoder", "5", "q"], "encoder", "n must be an integer, got 'q'"),
+            (["counter", "x"], "counter", "n must be an integer, got 'x'"),
+            (["counter", "2", "sideways"], "counter",
+             "target must be ones or zeros, got 'sideways'")):
+        code, out, err = run_cli(capsys, "circuit", "print", *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: builder {builder!r}: {message}\n"
+    for argv in (["qft"], ["encoder", "5"], ["counter", "1", "ones", "2"]):
+        code, out, err = run_cli(capsys, "circuit", "print", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "takes" in err, argv
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "count")[0] == 2          # missing operand
     assert run_cli(capsys, "frobnicate")[0] == 2     # unknown command
@@ -466,10 +482,14 @@ def _fuzz_argvs(draw):
     elif command == "dump":
         argv = ["array", "dump"]
     else:
+        # Builder parameters mix small integers with short junk tokens.
+        param = st.one_of(st.integers(-2, 6).map(str), _FUZZ_INTS,
+                          st.sampled_from(["ones", "zeros"]),
+                          st.text("0123xq-_ ", max_size=3))
         argv = ["circuit", "print",
                 draw(st.sampled_from(["qft", "iqft", "qft-pea", "counter",
                                       "encoder", "teleporter"])),
-                *draw(st.lists(_FUZZ_INTS, max_size=3))]
+                *draw(st.lists(param, max_size=3))]
     if argv[0] == "array":
         state = draw(_FUZZ_STATES)
         if state is not None:

@@ -82,12 +82,8 @@ def test_common_turn_factoring():
     same = ArrayContents((3, 3, 3, 3))
     factored = build_create(same, layout)
     assert not _multi_controlled(factored)
-    plain = build_create(same, layout, factor_common=False)
-    assert _multi_controlled(plain)
-    a = apply_circuit(new_basis_state(4, 0), factored)
-    b = apply_circuit(new_basis_state(4, 0), plain)
-    assert max_amp_diff(a, b) <= 1e-12
-    assert read_all(a, layout).values == (3, 3, 3, 3)
+    state = apply_circuit(new_basis_state(4, 0), factored)
+    assert read_all(state, layout).values == (3, 3, 3, 3)
 
 
 def test_arithmetic_contents_and_values():
@@ -182,6 +178,59 @@ def test_read_all_rejects_missing_index_mass():
     state = StateVector(2, [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(MalformedArray):
         read_all(state, layout)
+
+
+def _read_all_loop(state, layout, tolerance):
+    """read_all as a plain loop over the index rows: the values, or the
+    kind and index of the first row that fails."""
+    rows = state.probabilities().reshape(layout.length, 1 << layout.data_qubits)
+    values = []
+    for j, row in enumerate(rows):
+        mass = float(row.sum())
+        if mass < 0.5 / layout.length:
+            return "mass", j
+        d = int(np.argmax(row))
+        if float(row[d]) < (1.0 - tolerance) * mass:
+            return "spread", j
+        values.append(d)
+    return tuple(values)
+
+
+def _damaged_array_state(rng, layout):
+    """An array state with a few rows drained into others or spread over
+    two values, some by more than any tolerance and some by less."""
+    size = 1 << layout.data_qubits
+    probs = np.zeros((layout.length, size))
+    probs[np.arange(layout.length), rng.integers(0, size, layout.length)] = 1.0
+    for j in rng.integers(0, layout.length, int(rng.integers(0, 4))):
+        frac = float(rng.choice([1e-13, 1e-6, 0.3, 0.6, 1.0]))
+        moved = frac * probs[j]
+        probs[j] -= moved
+        if rng.integers(2):
+            probs[int(rng.integers(layout.length))] += moved
+        else:
+            probs[j, int(rng.integers(size))] += moved.sum()
+    amps = np.sqrt(probs.ravel() / probs.sum())
+    amps = amps * np.exp(2j * np.pi * rng.random(amps.size))
+    return StateVector(layout.num_qubits, amps)
+
+
+def test_read_all_matches_plain_loop():
+    rng = np.random.default_rng(2024)
+    outcomes = set()
+    for _ in range(400):
+        layout = ArrayLayout(int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        state = _damaged_array_state(rng, layout)
+        tolerance = float(rng.choice([1e-9, 1e-3]))
+        try:
+            got = read_all(state, layout, tolerance).values
+        except MalformedArray as exc:
+            j, _, rest = str(exc).removeprefix("index ").partition(" ")
+            got = ("mass" if rest.startswith("holds probability mass")
+                   else "spread", int(j))
+        assert got == _read_all_loop(state, layout, tolerance)
+        outcomes.add(got[0] if got[0] in ("mass", "spread") else "values")
+    assert outcomes == {"mass", "spread", "values"}
 
 
 def test_create_read_roundtrip_exhaustive_2x2():
