@@ -13,6 +13,7 @@ always an exact m-bit dyadic.
 """
 
 import enum
+import operator
 
 from .circuit import Circuit, Control, Phase
 from .phase_estimation import PhaseTable, _kickback_frame
@@ -92,13 +93,18 @@ def build_counter(n: int, target: CountTarget = CountTarget.ONES, *,
 
 
 def _check_bits(bits) -> list[int]:
+    """The bits as plain ints; numpy integers pass, floats do not."""
     bits = list(bits)
     if not 1 <= len(bits) <= MAX_COUNT_BITS:
         raise ValueError(
             f"bit sequence length must be in [1, {MAX_COUNT_BITS}], got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
+    try:
+        ints = [operator.index(b) for b in bits]
+    except TypeError:
+        ints = None
+    if ints is None or any(b not in (0, 1) for b in ints):
         raise ValueError(f"bits must be 0 or 1, got {bits}")
-    return bits
+    return ints
 
 
 def _read_count(counter: Circuit, bits: list[int], tolerance: float) -> int:

@@ -8,11 +8,13 @@ keeps every gate application a handful of vectorized slice operations.
 """
 
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .circuit import Circuit, Gate, Hadamard, Phase, Swap, X
+from .tracking import NotRepresentable, track
 
 __all__ = [
     "MAX_QUBITS", "NORM_TOLERANCE", "NotDeterministic", "StateVector",
@@ -60,7 +62,8 @@ class StateVector:
             raise ValueError(
                 f"expected {1 << num_qubits} amplitudes for {num_qubits} "
                 f"qubits, got shape {amps.shape}")
-        sumsq = float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
+        # One pass; a NaN or infinite amplitude makes the sum NaN or inf.
+        sumsq = float(np.vdot(amps, amps).real)
         if not abs(sumsq - 1.0) <= NORM_TOLERANCE:  # NaN fails too
             raise ValueError(f"state is not normalized: sum |a|^2 = {sumsq!r}")
         amps.flags.writeable = False
@@ -89,11 +92,17 @@ class StateVector:
 
 
 def new_basis_state(num_qubits: int, basis: int) -> StateVector:
-    """The computational basis state |basis> on num_qubits qubits."""
+    """The computational basis state |basis> on num_qubits qubits.
+    ``basis`` may be any index-like integer, numpy integers included."""
     _check_width(num_qubits)
-    if not isinstance(basis, int) or not 0 <= basis < (1 << num_qubits):
+    try:
+        basis = operator.index(basis)
+    except TypeError:
         raise ValueError(
-            f"basis index {basis!r} out of range for {num_qubits} qubits")
+            f"basis index must be an integer, got {basis!r}") from None
+    if not 0 <= basis < (1 << num_qubits):
+        raise ValueError(
+            f"basis index {basis} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[basis] = 1.0
     return StateVector(num_qubits, amps)
@@ -144,12 +153,43 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return apply_circuit(state, Circuit(state.num_qubits, (gate,)))
 
 
+def _apply_tracked(state: StateVector, circuit: Circuit) -> StateVector | None:
+    """The circuit run as exact dyadic bookkeeping, or None if the state
+    is not a basis state or the circuit leaves basis-in, basis-out form."""
+    # One scan: a basis state has at most two nonzero parts (re and im),
+    # both of the same amplitude.
+    nonzero = state.amplitudes.view(np.float64) != 0.0
+    if np.count_nonzero(nonzero) > 2:
+        return None
+    parts = np.flatnonzero(nonzero) >> 1
+    basis = int(parts[0])
+    if parts[-1] != basis:
+        return None
+    try:
+        out, phase = track(circuit, basis)
+    except NotRepresentable:
+        return None
+    amps = np.zeros(state.dim, dtype=np.complex128)
+    amps[out] = state.amplitudes[basis] * phase.phase_factor()
+    return StateVector(state.num_qubits, amps)
+
+
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Left-fold of apply_gate over the circuit's gate sequence."""
+    """The state after every gate of the circuit, in order.
+
+    A basis-state input runs first as exact dyadic phase bookkeeping
+    (``tracking.track``); its single nonzero amplitude picks up the
+    tracked global phase at the output basis index.  Any other input,
+    or a circuit the bookkeeping cannot represent, runs gate by gate on
+    a copy of the amplitudes.
+    """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit width {circuit.num_qubits} != state width "
             f"{state.num_qubits}")
+    tracked = _apply_tracked(state, circuit)
+    if tracked is not None:
+        return tracked
     amps = state.amplitudes.copy()
     for gate in circuit.gates:
         _apply_gate_inplace(amps, state.num_qubits, gate)

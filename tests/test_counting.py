@@ -86,6 +86,15 @@ def test_run_count_validation():
         run_count([0] * 17)
 
 
+def test_run_count_accepts_index_like_bits_only():
+    assert run_count(np.array([1, 0, 1])) == 2
+    assert run_count([np.int64(1), np.uint8(1), 0]) == 2
+    assert run_count((np.int64(0), np.int64(1)), CountTarget.ZEROS) == 1
+    for bad in ([1.0, 0], [0.0], np.array([1.0, 0.0]), [1, "1"], [1, None]):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            run_count(bad)
+
+
 def test_run_count_exhaustive_length8():
     for q in range(1 << 8):
         bits = [(q >> k) & 1 for k in range(8)]

@@ -34,6 +34,35 @@ def test_new_basis_state_rejects_bad_args():
         new_basis_state(2, -1)
 
 
+def test_new_basis_state_accepts_index_like_integers():
+    s = new_basis_state(3, np.int64(2))
+    assert s.amplitudes[2] == 1 and np.sum(np.abs(s.amplitudes)) == 1
+    assert new_basis_state(2, np.uint8(3)).amplitudes[3] == 1
+    with pytest.raises(ValueError, match="out of range"):
+        new_basis_state(3, np.int64(8))
+    for bad in (2.0, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            new_basis_state(3, bad)
+
+
+def test_one_pass_norm_edge_cases():
+    for bad in ([1e200, 0], [math.nan, 0], [math.inf, 0], [-math.inf, 0],
+                [0, complex(0, -math.inf)], [complex(math.inf, math.nan), 0]):
+        with pytest.raises(ValueError):
+            StateVector(1, bad)
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    v /= np.linalg.norm(v)
+    for sumsq, ok in ((1 + 2e-12, False), (1 - 2e-12, False),
+                      (1 + 5e-13, True), (1 - 5e-13, True)):
+        for n, amps in ((6, v * math.sqrt(sumsq)), (1, [math.sqrt(sumsq), 0])):
+            if ok:
+                StateVector(n, amps)
+            else:
+                with pytest.raises(ValueError, match="not normalized"):
+                    StateVector(n, amps)
+
+
 def test_statevector_requires_normalization():
     with pytest.raises(ValueError):
         StateVector(1, [1.0, 1.0])
