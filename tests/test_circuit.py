@@ -128,6 +128,28 @@ def test_parse_errors_carry_line_numbers():
         assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, line, reason", [
+    ("qubits 2\nH 0 1\n", 2, "H takes exactly one qubit"),
+    ("qubits 2\n# a\nX\n", 3, "X takes exactly one qubit"),
+    ("qubits 2\nSWAP 0\n", 2, "SWAP takes exactly two qubits"),
+    ("qubits 2\nH 0\nP 1/2 0\n", 3, "P line is missing '->'"),
+    ("qubits 2\nP 1/2 -> 0 1\n", 2,
+     "P line must look like 'P <turn> [±q ...] -> <q>'"),
+    ("qubits 4\nP 1/2 3 -> 0\n", 2, "control must start with + or -: '3'"),
+    ("qubits 0\n", 1, "qubit count must be >= 1, got 0"),
+])
+def test_parse_error_texts(text, line, reason):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.reason) == (line, reason)
+    assert str(err.value) == f"line {line}: {reason}"
+
+
+def test_label_text_must_be_one_line():
+    with pytest.raises(ValueError, match="^label text must be a single line$"):
+        Circuit(1, (Hadamard(0),), labels=((0, "prep\nmore"),))
+
+
 def test_labels_survive_serialize_parse():
     c = Circuit(2, (Hadamard(1), Hadamard(0)),
                 labels=((0, "prep"), (2, "done")))

@@ -10,11 +10,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qabacus import (
     ArrayContents, ArrayLayout, Circuit, Control, CountTarget, Hadamard,
-    Phase, PhaseTable, StateVector, Swap, X, apply_circuit, build_encoder,
-    build_inverse_qft, build_phase_estimator, build_qft_phase_estimator,
+    IndexPredicate, Phase, PhaseTable, StateVector, Swap, X, apply_circuit,
+    build_counter, build_create, build_encoder, build_inverse_qft,
+    build_phase_estimator, build_qft_phase_estimator, build_update_add,
     create_state, deterministic_outcome, new_basis_state, run_count,
     statevector,
 )
@@ -239,3 +242,83 @@ def test_arrays_stay_dense(no_dense, tmp_path):
     with pytest.raises(DenseKernelCalled):
         main(["array", "create", "1,2,0,5", "-p", "3",
               "--state", str(tmp_path / "a.npz")])
+
+
+# The correctness gate: every builder the tracker is meant to run, on drawn
+# basis inputs at <= 12 qubits, must track without raising and give the
+# plain dense gate loop's amplitudes, global phase included.
+
+def _dense_loop(circuit, basis) -> np.ndarray:
+    amps = new_basis_state(circuit.num_qubits, basis).amplitudes.copy()
+    for gate in circuit.gates:
+        statevector._apply_gate_inplace(amps, circuit.num_qubits, gate)
+    return amps
+
+
+def _check_tracked(circuit, basis):
+    out, _ = track(circuit, basis)
+    state = apply_circuit(new_basis_state(circuit.num_qubits, basis), circuit)
+    expected = _dense_loop(circuit, basis)
+    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+    assert abs(expected[out]) == pytest.approx(1, abs=1e-12)
+
+
+def _below(bits):
+    return st.integers(0, (1 << bits) - 1)
+
+
+@st.composite
+def _counter_runs(draw):
+    n = draw(st.integers(1, 8))
+    circuit = build_counter(n, draw(st.sampled_from(CountTarget)),
+                            allow_wraparound=draw(st.booleans()))
+    return circuit, draw(_below(n))
+
+
+@st.composite
+def _estimator_runs(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        return build_qft_phase_estimator(n), draw(_below(n))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    numerators = draw(st.lists(_below(m), min_size=1 << n, max_size=1 << n))
+    table = PhaseTable(n, tuple(DyadicTurn(k, m) for k in numerators))
+    return build_phase_estimator(table, m), draw(_below(n))
+
+
+@st.composite
+def _encode_decode_runs(draw):
+    n = draw(st.integers(1, 12))
+    circuit = Circuit.from_blocks(n, [
+        ("encode", build_encoder(draw(_below(n)), n).gates),
+        ("decode", build_inverse_qft(n).gates)])
+    return circuit, 0
+
+
+@st.composite
+def _update_add_runs(draw):
+    m = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 12 - m))
+    mask = draw(_below(m))
+    predicate = IndexPredicate(mask, draw(_below(m)) & mask)
+    circuit = build_update_add(draw(_below(p)), predicate, ArrayLayout(m, p))
+    return circuit, (draw(_below(m)) << p) | draw(_below(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_counter_runs(), _estimator_runs(), _encode_decode_runs(),
+                 _update_add_runs()))
+def test_builders_track_and_match_dense_loop(run):
+    _check_tracked(*run)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_create_and_bare_encoder_are_not_representable(data):
+    m, p = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    values = data.draw(st.lists(_below(p), min_size=1 << m, max_size=1 << m))
+    with pytest.raises(NotRepresentable):
+        track(build_create(ArrayContents(tuple(values)), ArrayLayout(m, p)), 0)
+    n = data.draw(st.integers(1, 12))
+    with pytest.raises(NotRepresentable):
+        track(build_encoder(data.draw(_below(n)), n), 0)
