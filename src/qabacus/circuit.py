@@ -3,9 +3,9 @@
 Gates are immutable dataclasses; a circuit is an ordered gate sequence
 over a fixed qubit count.  Qubit 0 is the least significant bit of a
 basis index throughout.  Phase gates carry their angle as an exact
-``Turn`` and support positive (closed-dot) and negative (open-dot)
-controls; a phase applies iff every control matches its polarity and
-the target bit is 1.
+``Turn`` and take ``Control`` objects as controls, each positive
+(closed-dot) or negative (open-dot) by a bool; a phase applies iff every
+control matches its polarity and the target bit is 1.
 """
 
 from collections import defaultdict
@@ -43,10 +43,15 @@ class Control:
 
     def __post_init__(self):
         _check_qubit(self.qubit, "control qubit")
+        if not isinstance(self.positive, bool):
+            raise ValueError(f"control polarity must be a bool, got {self.positive!r}")
 
 
 @dataclass(frozen=True)
-class Hadamard:
+class _OneQubitGate:
+    """The shape shared by Hadamard and X.  Each subclass is its own gate
+    kind: equality compares the class, so X(0) != Hadamard(0)."""
+
     target: int
 
     def __post_init__(self):
@@ -57,16 +62,12 @@ class Hadamard:
         return (self.target,)
 
 
-@dataclass(frozen=True)
-class X:
-    target: int
+class Hadamard(_OneQubitGate):
+    """Hadamard on ``target``."""
 
-    def __post_init__(self):
-        _check_qubit(self.target, "target")
 
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.target,)
+class X(_OneQubitGate):
+    """Bit flip on ``target``."""
 
 
 @dataclass(frozen=True)
@@ -83,18 +84,12 @@ class Phase:
         if not isinstance(self.turn, Turn):
             raise ValueError(f"turn must be a Turn, got {self.turn!r}")
         _check_qubit(self.target, "target")
-        coerced = []
-        for c in self.controls:
-            if isinstance(c, Control):
-                coerced.append(c)
-            elif isinstance(c, int) and not isinstance(c, bool):
-                coerced.append(Control(c))
-            elif isinstance(c, tuple):
-                coerced.append(Control(*c))
-            else:
+        controls = tuple(self.controls)
+        for c in controls:
+            if not isinstance(c, Control):
                 raise ValueError(f"not a control: {c!r}")
-        object.__setattr__(self, "controls", tuple(coerced))
-        qubits = [c.qubit for c in self.controls] + [self.target]
+        object.__setattr__(self, "controls", controls)
+        qubits = [c.qubit for c in controls] + [self.target]
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"controls and target must be distinct, got {qubits}")
 
@@ -170,9 +165,6 @@ class Circuit:
             gates.extend(block)
         return cls(num_qubits, tuple(gates), labels=tuple(labels))
 
-    def __len__(self) -> int:
-        return len(self.gates)
-
 
 def _invert_gate(gate: Gate) -> Gate:
     if isinstance(gate, Phase):
@@ -228,13 +220,19 @@ def lower_negative_controls(circuit: Circuit) -> Circuit:
     return Circuit(circuit.num_qubits, tuple(gates))
 
 
+# The gates written as a kind and plain qubit numbers:
+# kind -> (class, qubit count, the count as error messages word it).
+_PLAIN_GATES = {
+    "H": (Hadamard, 1, "exactly one qubit"),
+    "X": (X, 1, "exactly one qubit"),
+    "SWAP": (Swap, 2, "exactly two qubits"),
+}
+_PLAIN_KINDS = {cls: kind for kind, (cls, _, _) in _PLAIN_GATES.items()}
+
+
 def _format_gate(gate: Gate) -> str:
-    if isinstance(gate, Hadamard):
-        return f"H {gate.target}"
-    if isinstance(gate, X):
-        return f"X {gate.target}"
-    if isinstance(gate, Swap):
-        return f"SWAP {gate.a} {gate.b}"
+    if not isinstance(gate, Phase):
+        return " ".join([_PLAIN_KINDS[type(gate)], *map(str, gate.qubits)])
     parts = ["P", format_turn(gate.turn)]
     parts.extend(f"{'+' if c.positive else '-'}{c.qubit}" for c in gate.controls)
     parts.append("->")
@@ -308,19 +306,11 @@ def parse(text: str) -> Circuit:
 
 
 def _parse_gate(kind: str, tokens: list[str], lineno: int) -> Gate:
-    if kind == "H":
-        if len(tokens) != 2:
-            raise ParseError(lineno, "H takes exactly one qubit")
-        return Hadamard(_parse_int(tokens[1], lineno, "qubit"))
-    if kind == "X":
-        if len(tokens) != 2:
-            raise ParseError(lineno, "X takes exactly one qubit")
-        return X(_parse_int(tokens[1], lineno, "qubit"))
-    if kind == "SWAP":
-        if len(tokens) != 3:
-            raise ParseError(lineno, "SWAP takes exactly two qubits")
-        return Swap(_parse_int(tokens[1], lineno, "qubit"),
-                    _parse_int(tokens[2], lineno, "qubit"))
+    if kind in _PLAIN_GATES:
+        cls, arity, wording = _PLAIN_GATES[kind]
+        if len(tokens) != arity + 1:
+            raise ParseError(lineno, f"{kind} takes {wording}")
+        return cls(*(_parse_int(t, lineno, "qubit") for t in tokens[1:]))
     if kind == "P":
         if "->" not in tokens:
             raise ParseError(lineno, "P line is missing '->'")

@@ -48,6 +48,13 @@ def ancilla_width(n: int, *, allow_wraparound: bool = False) -> int:
     return n.bit_length()
 
 
+def _check_target(target) -> None:
+    """Reject anything but a CountTarget: a string such as "ones" would
+    otherwise fail the identity tests below and count zeros."""
+    if not isinstance(target, CountTarget):
+        raise ValueError(f"count target must be a CountTarget, got {target!r}")
+
+
 def _count_of(q: int, n: int, target: CountTarget) -> int:
     ones = q.bit_count()
     return ones if target is CountTarget.ONES else n - ones
@@ -57,6 +64,7 @@ def count_phase_table(n: int, target: CountTarget = CountTarget.ONES, *,
                       allow_wraparound: bool = False) -> PhaseTable:
     """Eigenphase table of the counting unitary: entry q is
     count(q) / 2**m as an exact dyadic turn."""
+    _check_target(target)
     m = ancilla_width(n, allow_wraparound=allow_wraparound)
     phases = tuple(DyadicTurn(_count_of(q, n, target), m)
                    for q in range(1 << n))
@@ -65,6 +73,7 @@ def count_phase_table(n: int, target: CountTarget = CountTarget.ONES, *,
 
 def _counting_circuit(n: int, target: CountTarget, allow_wraparound: bool, *,
                       readout: bool) -> Circuit:
+    _check_target(target)
     m = ancilla_width(n, allow_wraparound=allow_wraparound)
     positive = target is CountTarget.ONES
     count = (Phase(DyadicTurn(1, m - l), n + l,

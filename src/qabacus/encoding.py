@@ -33,18 +33,18 @@ def fourier_phase(d: int, l: int, n: int) -> DyadicTurn:
     return DyadicTurn(d % (1 << width), width)
 
 
-def encoding_phase_gates(value: int, num_qubits: int, *, offset: int = 0,
+def encoding_phase_gates(value: int, num_qubits: int, *,
                          controls: tuple[Control, ...] = ()) -> tuple[Gate, ...]:
     """The phase layer writing ``value`` into a Fourier-space register.
 
-    One gate per qubit, most significant first; qubit offset+l gets the
-    turn fourier_phase(value, l, num_qubits).  Optional controls are
+    One gate per qubit, most significant first; qubit l gets the turn
+    fourier_phase(value, l, num_qubits).  Optional controls are
     attached to every gate, which conditions the whole addition.  In
     Fourier space these layers compose additively: stacking the layers
     for a and b equals the layer for (a + b) mod 2**num_qubits.
     """
     return tuple(
-        Phase(fourier_phase(value, l, num_qubits), offset + l, controls)
+        Phase(fourier_phase(value, l, num_qubits), l, controls)
         for l in range(num_qubits - 1, -1, -1))
 
 

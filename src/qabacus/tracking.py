@@ -14,7 +14,7 @@ superposed at the end) raises ``NotRepresentable``.
 
 import math
 
-from .circuit import Circuit, Hadamard, Phase, Swap, X
+from .circuit import Circuit, Hadamard, Phase, X
 from .turns import MAX_DYADIC_EXPONENT, DyadicTurn
 
 __all__ = ["NotRepresentable", "track"]
@@ -87,12 +87,10 @@ def track(circuit: Circuit, basis: int) -> tuple[int, DyadicTurn]:
             else:
                 glob += theta[q]
                 theta[q] = -theta[q]
-        elif isinstance(gate, Swap):
+        else:  # Swap
             a, b = gate.a, gate.b
             bit[a], bit[b] = bit[b], bit[a]
             theta[a], theta[b] = theta[b], theta[a]
-        else:
-            raise ValueError(f"not a gate: {gate!r}")
     if None in bit:
         raise NotRepresentable(
             f"qubit {bit.index(None)} ends in superposition")

@@ -32,9 +32,32 @@ def test_gate_validation():
         Phase(0.25, 0)  # bare float is not a Turn
 
 
-def test_control_coercion():
-    g = Phase(DyadicTurn(1, 1), 2, controls=(0, (1, False)))
+def test_no_control_coercion():
+    # A control is a Control object; a bare qubit or a (qubit, positive)
+    # pair is rejected, not coerced.  The container becomes a tuple.
+    for controls in ((0,), ((1, False),), (Control(0), 1)):
+        with pytest.raises(ValueError, match="^not a control: "):
+            Phase(DyadicTurn(1, 1), 2, controls=controls)
+    g = Phase(DyadicTurn(1, 1), 2, controls=[Control(0), Control(1, False)])
     assert g.controls == (Control(0, True), Control(1, False))
+
+
+@pytest.mark.parametrize("positive", ["no", 2, 0, None, 1.0])
+def test_control_polarity_must_be_bool(positive):
+    # The dense kernel reads a truthy non-bool as a closed dot and the
+    # tracker as a failed condition, so accepting one makes them disagree.
+    with pytest.raises(ValueError,
+                       match="^control polarity must be a bool, got "):
+        Control(1, positive=positive)
+
+
+def test_one_qubit_gates_stay_distinct():
+    assert X(0) != Hadamard(0)
+    assert not isinstance(X(0), Hadamard) and not isinstance(Hadamard(0), X)
+    assert (repr(X(1)), repr(Hadamard(2))) == ("X(target=1)",
+                                               "Hadamard(target=2)")
+    assert X(1) == X(1) and hash(X(1)) == hash(X(1))
+    assert len({X(0), Hadamard(0), X(0)}) == 2
 
 
 def test_circuit_rejects_out_of_range_gates():

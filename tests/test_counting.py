@@ -86,6 +86,18 @@ def test_run_count_validation():
         run_count([0] * 17)
 
 
+def test_count_target_must_be_a_count_target():
+    # A string target would fail the builders' identity test against ONES
+    # and silently count zeros.
+    for bad in ("ones", "zeros", None, 1):
+        for build in (build_counter, build_count_stage, count_phase_table):
+            with pytest.raises(ValueError,
+                               match="^count target must be a CountTarget"):
+                build(2, bad)
+        with pytest.raises(ValueError, match=repr(bad)):
+            run_count([1, 1, 0], target=bad)
+
+
 def test_run_count_accepts_index_like_bits_only():
     assert run_count(np.array([1, 0, 1])) == 2
     assert run_count([np.int64(1), np.uint8(1), 0]) == 2

@@ -168,12 +168,14 @@ def test_named_rules():
 
 @pytest.mark.parametrize("circuit, basis", [
     # Two superposed conditions on one phase gate.
-    (Circuit(2, (Hadamard(0), Hadamard(1), Phase(DyadicTurn(1, 1), 1, (0,)),
+    (Circuit(2, (Hadamard(0), Hadamard(1),
+                 Phase(DyadicTurn(1, 1), 1, (Control(0),)),
                  Hadamard(0), Hadamard(1))), 0),
     # H on a quarter-turn theta.
     (Circuit(1, (Hadamard(0), Phase(DyadicTurn(1, 2), 0), Hadamard(0))), 1),
     # A non-dyadic turn on a superposed qubit.
-    (Circuit(2, (Hadamard(1), Phase(Turn(0.1), 1, (0,)), Hadamard(1))), 1),
+    (Circuit(2, (Hadamard(1), Phase(Turn(0.1), 1, (Control(0),)),
+                 Hadamard(1))), 1),
     # The encoder alone ends in a Fourier state, not a basis state.
     (build_encoder(5, 3), 0),
 ], ids=["two-superposed", "quarter-h", "non-dyadic", "encoder"])
