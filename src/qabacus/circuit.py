@@ -8,6 +8,7 @@ basis index throughout.  Phase gates carry their angle as an exact
 control matches its polarity and the target bit is 1.
 """
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Union
@@ -30,10 +31,26 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-def _check_qubit(q: int, role: str) -> int:
-    if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-        raise ValueError(f"{role} must be a non-negative integer, got {q!r}")
-    return q
+def _check_int(value, name: str, low: float, high: int | None = None) -> int:
+    """``value`` as a plain int in [low, high), or ValueError naming it.
+
+    Whatever ``operator.index`` takes passes, numpy integers included,
+    except bool.  A plain int in range returns at once: gate builders
+    call this for every qubit of every gate, which is also why the gate
+    classes write their own ``__init__``: it stores each checked field
+    once, where a ``__post_init__`` would store it twice.
+    """
+    if type(value) is int:
+        if low <= value and (high is None or value < high):
+            return value
+    elif isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    else:
+        value = operator.index(value)
+    if value < low or (high is not None and value >= high):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high - 1}]"
+        raise ValueError(f"{name} out of range: must be {bounds}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -41,10 +58,11 @@ class Control:
     qubit: int
     positive: bool = True
 
-    def __post_init__(self):
-        _check_qubit(self.qubit, "control qubit")
-        if not isinstance(self.positive, bool):
-            raise ValueError(f"control polarity must be a bool, got {self.positive!r}")
+    def __init__(self, qubit: int, positive: bool = True):
+        object.__setattr__(self, "qubit", _check_int(qubit, "control qubit", 0))
+        if not isinstance(positive, bool):
+            raise ValueError(f"control polarity must be a bool, got {positive!r}")
+        object.__setattr__(self, "positive", positive)
 
 
 @dataclass(frozen=True)
@@ -54,8 +72,8 @@ class _OneQubitGate:
 
     target: int
 
-    def __post_init__(self):
-        _check_qubit(self.target, "target")
+    def __init__(self, target: int):
+        object.__setattr__(self, "target", _check_int(target, "target", 0))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -80,11 +98,13 @@ class Phase:
     target: int
     controls: tuple[Control, ...] = ()
 
-    def __post_init__(self):
-        if not isinstance(self.turn, Turn):
-            raise ValueError(f"turn must be a Turn, got {self.turn!r}")
-        _check_qubit(self.target, "target")
-        controls = tuple(self.controls)
+    def __init__(self, turn: Turn, target: int,
+                 controls: tuple[Control, ...] = ()):
+        if not isinstance(turn, Turn):
+            raise ValueError(f"turn must be a Turn, got {turn!r}")
+        object.__setattr__(self, "turn", turn)
+        object.__setattr__(self, "target", _check_int(target, "target", 0))
+        controls = tuple(controls)
         for c in controls:
             if not isinstance(c, Control):
                 raise ValueError(f"not a control: {c!r}")
@@ -103,9 +123,9 @@ class Swap:
     a: int
     b: int
 
-    def __post_init__(self):
-        _check_qubit(self.a, "swap operand")
-        _check_qubit(self.b, "swap operand")
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", _check_int(a, "swap operand", 0))
+        object.__setattr__(self, "b", _check_int(b, "swap operand", 0))
         if self.a == self.b:
             raise ValueError(f"swap operands must differ, got {self.a}")
 
@@ -130,13 +150,21 @@ class Circuit:
     labels: tuple[tuple[int, str], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.num_qubits, int) or self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits!r}")
+        object.__setattr__(self, "num_qubits",
+                           _check_int(self.num_qubits, "num_qubits", 1))
         object.__setattr__(self, "gates", tuple(self.gates))
+        labels = []
+        for pos, text in self.labels:
+            pos = _check_int(pos, "label position", 0, len(self.gates) + 1)
+            if not isinstance(text, str):
+                raise ValueError(f"label text must be a string, got {text!r}")
+            # parse splits lines at every line boundary str.splitlines knows.
+            if text.splitlines() not in ([], [text]):
+                raise ValueError("label text must be a single line")
+            labels.append((pos, text))
         # Canonical label order: by position, stable.
-        object.__setattr__(
-            self, "labels",
-            tuple(sorted(self.labels, key=lambda item: item[0])))
+        object.__setattr__(self, "labels",
+                           tuple(sorted(labels, key=lambda item: item[0])))
         for g in self.gates:
             if not isinstance(g, (Hadamard, X, Phase, Swap)):
                 raise ValueError(f"not a gate: {g!r}")
@@ -145,11 +173,6 @@ class Circuit:
                 raise ValueError(
                     f"gate {g!r} touches qubit {worst} but circuit has "
                     f"{self.num_qubits} qubits")
-        for pos, text in self.labels:
-            if not 0 <= pos <= len(self.gates):
-                raise ValueError(f"label position {pos} out of range")
-            if "\n" in text:
-                raise ValueError("label text must be a single line")
 
     @classmethod
     def from_blocks(cls, num_qubits: int, blocks) -> "Circuit":
@@ -189,14 +212,10 @@ def gate_count_report(circuit: Circuit) -> dict[str, int]:
     """
     counts = {"h": 0, "x": 0, "phase": 0, "cphase": 0, "swap": 0}
     for g in circuit.gates:
-        if isinstance(g, Hadamard):
-            counts["h"] += 1
-        elif isinstance(g, X):
-            counts["x"] += 1
-        elif isinstance(g, Phase):
+        if isinstance(g, Phase):
             counts["cphase" if g.controls else "phase"] += 1
         else:
-            counts["swap"] += 1
+            counts[_PLAIN_KINDS[type(g)].lower()] += 1
     counts["total"] = len(circuit.gates)
     return counts
 

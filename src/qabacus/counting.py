@@ -15,7 +15,7 @@ always an exact m-bit dyadic.
 import enum
 import operator
 
-from .circuit import Circuit, Control, Phase
+from .circuit import Circuit, Control, Phase, _check_int
 from .phase_estimation import PhaseTable, _kickback_frame
 from .statevector import apply_circuit, deterministic_outcome, new_basis_state
 from .turns import DyadicTurn
@@ -41,8 +41,7 @@ def ancilla_width(n: int, *, allow_wraparound: bool = False) -> int:
     and the readout becomes count mod 2**m, so the all-ones input wraps
     to 0 whenever n is a power of two.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"register length must be >= 1, got {n!r}")
+    n = _check_int(n, "register length", 1)
     if allow_wraparound:
         return max(1, (n - 1).bit_length())
     return n.bit_length()

@@ -8,7 +8,7 @@ data lives purely in phases and amplitude magnitudes stay flat at
 deterministic readout.
 """
 
-from .circuit import Circuit, Control, Gate, Hadamard, Phase
+from .circuit import Circuit, Control, Gate, Hadamard, Phase, _check_int
 from .qft import build_inverse_qft
 from .statevector import StateVector, _check_width, apply_circuit, \
     deterministic_outcome, new_basis_state
@@ -23,12 +23,9 @@ __all__ = [
 def fourier_phase(d: int, l: int, n: int) -> DyadicTurn:
     """Turn carried by qubit l of the Fourier image of |d> on n qubits:
     (d mod 2**(n-l)) / 2**(n-l), exact."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"register width must be >= 1, got {n!r}")
-    if not isinstance(l, int) or not 0 <= l < n:
-        raise ValueError(f"qubit index {l!r} out of range for {n} qubits")
-    if not isinstance(d, int) or not 0 <= d < (1 << n):
-        raise ValueError(f"value {d!r} out of range for {n} qubits")
+    n = _check_int(n, "register width", 1)
+    l = _check_int(l, "qubit index", 0, n)
+    d = _check_int(d, "value", 0, 1 << n)
     width = n - l
     return DyadicTurn(d % (1 << width), width)
 
@@ -54,7 +51,7 @@ def build_encoder(d: int, n: int) -> Circuit:
 
     Values outside [0, 2**n) are rejected rather than silently reduced.
     """
-    _check_width(n)
+    n = _check_width(n)
     return Circuit.from_blocks(n, [
         ("prep", [Hadamard(l) for l in range(n - 1, -1, -1)]),
         ("encode", encoding_phase_gates(d, n)),
@@ -77,10 +74,9 @@ def decode_register(state: StateVector, tolerance: float = 1e-9) -> int:
 def encode_signed(value: int, n: int) -> StateVector:
     """Two's-complement convenience wrapper: encodes value mod 2**n for
     value in [-2**(n-1), 2**(n-1))."""
+    n = _check_width(n)
     half = 1 << (n - 1)
-    if not isinstance(value, int) or not -half <= value < half:
-        raise ValueError(
-            f"signed value {value!r} out of range for {n} qubits")
+    value = _check_int(value, "signed value", -half, half)
     return encode_value(value % (1 << n), n)
 
 

@@ -14,7 +14,7 @@ estimator is deterministic for every basis input.
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Control, Hadamard, Phase
+from .circuit import Circuit, Control, Hadamard, Phase, _check_int
 from .qft import _qft_gates
 from .statevector import _check_width
 from .turns import DyadicTurn, Turn
@@ -35,9 +35,8 @@ class PhaseTable:
     phases: tuple[Turn, ...]
 
     def __post_init__(self):
-        n = self.num_input_qubits
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"num_input_qubits must be >= 1, got {n!r}")
+        n = _check_int(self.num_input_qubits, "num_input_qubits", 1)
+        object.__setattr__(self, "num_input_qubits", n)
         object.__setattr__(self, "phases", tuple(self.phases))
         if len(self.phases) != 1 << n:
             raise ValueError(
@@ -57,16 +56,14 @@ class PhaseTable:
 def qft_phase_table(n: int) -> PhaseTable:
     """The table with eigenphase j/2**n at entry j; estimating it with
     m = n ancillas reproduces the Fourier coefficients of the input."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    n = _check_int(n, "n", 1)
     return PhaseTable(n, tuple(DyadicTurn(j, n) for j in range(1 << n)))
 
 
 def diagonal_power(table: PhaseTable, l: int) -> PhaseTable:
     """Table of the unitary raised to 2**l: each entry becomes its
     principal value (2**l * phase) mod 1."""
-    if not isinstance(l, int) or l < 0:
-        raise ValueError(f"power exponent must be >= 0, got {l!r}")
+    l = _check_int(l, "power exponent", 0)
     return PhaseTable(table.num_input_qubits,
                       tuple(p.times_pow2(l) for p in table.phases))
 
@@ -81,8 +78,7 @@ def build_phase_estimator(table: PhaseTable, m: int) -> Circuit:
     the counter avoid this generic lowering.
     """
     n = table.num_input_qubits
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"ancilla count must be >= 1, got {m!r}")
+    m = _check_int(m, "ancilla count", 1)
     kickback = (
         Phase(phase, n + l, tuple(Control(b, positive=bool((j >> b) & 1))
                                   for b in range(n - 1, -1, -1)))
@@ -101,10 +97,8 @@ def analytic_outcome_probability(phi: Turn, m: int, j: int) -> float:
     """
     if not isinstance(phi, Turn):
         raise ValueError(f"phi must be a Turn, got {phi!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be >= 1, got {m!r}")
-    if not isinstance(j, int) or not 0 <= j < (1 << m):
-        raise ValueError(f"outcome {j!r} out of range for {m} ancillas")
+    m = _check_int(m, "m", 1)
+    j = _check_int(j, "outcome", 0, 1 << m)
     size = 1 << m
     delta = (phi.value - j / size) % 1.0
     if delta == 0.0 or delta == 1.0:
@@ -116,8 +110,7 @@ def analytic_outcome_probability(phi: Turn, m: int, j: int) -> float:
 def is_zero_failure(table: PhaseTable, m: int) -> bool:
     """True iff every eigenphase has a finite binary expansion of at most
     m bits, i.e. estimation with m ancillas is deterministic."""
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"m must be >= 0, got {m!r}")
+    m = _check_int(m, "m", 0)
     for p in table.phases:
         k = p.dyadic_exponent()
         if k is None or k > m:
@@ -133,8 +126,7 @@ def build_qft_phase_estimator(n: int) -> Circuit:
     the circuit stays polynomial.  For every basis input |j> the
     deterministic readout is j, and the input register is untouched.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    n = _check_int(n, "n", 1)
 
     def powers():
         for l in range(n - 1, -1, -1):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Control, Gate, Hadamard, Phase
+from .circuit import Circuit, Control, Gate, Hadamard, Phase, _check_int
 from .encoding import encoding_phase_gates, fourier_phase
 from .qft import _qft_gates
 from .statevector import StateVector, _check_tolerance, _check_width, \
@@ -43,11 +43,10 @@ class ArrayLayout:
     data_qubits: int
 
     def __post_init__(self):
-        m, p = self.index_qubits, self.data_qubits
-        if not isinstance(m, int) or m < 1:
-            raise ValueError(f"index_qubits must be >= 1, got {m!r}")
-        if not isinstance(p, int) or p < 1:
-            raise ValueError(f"data_qubits must be >= 1, got {p!r}")
+        m = _check_int(self.index_qubits, "index_qubits", 1)
+        p = _check_int(self.data_qubits, "data_qubits", 1)
+        object.__setattr__(self, "index_qubits", m)
+        object.__setattr__(self, "data_qubits", p)
         _check_width(m + p)
 
     @property
@@ -67,10 +66,8 @@ class IndexPredicate:
     match: int
 
     def __post_init__(self):
-        if not isinstance(self.mask, int) or self.mask < 0:
-            raise ValueError(f"mask must be a non-negative integer, got {self.mask!r}")
-        if not isinstance(self.match, int) or self.match < 0:
-            raise ValueError(f"match must be a non-negative integer, got {self.match!r}")
+        object.__setattr__(self, "mask", _check_int(self.mask, "mask", 0))
+        object.__setattr__(self, "match", _check_int(self.match, "match", 0))
         if self.match & ~self.mask:
             raise ValueError(
                 f"match {self.match:#b} has bits outside mask {self.mask:#b}")
@@ -98,10 +95,8 @@ class ArrayContents:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
-        for v in self.values:
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"values must be non-negative integers, got {v!r}")
+        object.__setattr__(self, "values", tuple(
+            _check_int(v, "value", 0) for v in self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -118,12 +113,6 @@ def _check_contents(contents: ArrayContents, layout: ArrayLayout) -> None:
             raise ValueError(
                 f"value {v} at index {j} does not fit in "
                 f"{layout.data_qubits} data qubits")
-
-
-def _check_addend(value: int, p: int, role: str) -> None:
-    if not isinstance(value, int) or not 0 <= value < (1 << p):
-        raise ValueError(
-            f"{role} must be reduced mod 2**{p}, got {value!r}")
 
 
 def _index_controls(j: int, layout: ArrayLayout) -> tuple[Control, ...]:
@@ -186,9 +175,9 @@ def arithmetic_contents(first: int, step: int,
                         layout: ArrayLayout) -> ArrayContents:
     """The contents an arithmetic-series creation produces:
     values[j] = (first + step * j) mod 2**p."""
-    _check_addend(first, layout.data_qubits, "first")
-    _check_addend(step, layout.data_qubits, "step")
     limit = 1 << layout.data_qubits
+    first = _check_int(first, "first", 0, limit)
+    step = _check_int(step, "step", 0, limit)
     return ArrayContents(tuple((first + step * j) % limit
                                for j in range(layout.length)))
 
@@ -202,9 +191,9 @@ def build_create_arithmetic(first: int, step: int,
     singly-controlled phases adding step * 2**b - p*(m+1) phase gates,
     none of them multi-controlled.
     """
-    _check_addend(first, layout.data_qubits, "first")
-    _check_addend(step, layout.data_qubits, "step")
     m, p = layout.index_qubits, layout.data_qubits
+    first = _check_int(first, "first", 0, 1 << p)
+    step = _check_int(step, "step", 0, 1 << p)
     gates = list(encoding_phase_gates(first, p))
     for b in range(m):
         weight = (step << b) % (1 << p)
@@ -222,9 +211,9 @@ def build_update_add(addend: int, predicate: IndexPredicate,
     effect: d_j <- (d_j + addend) mod 2**p exactly where the predicate
     selects j, d_j untouched otherwise.
     """
-    _check_addend(addend, layout.data_qubits, "addend")
-    controls = _predicate_controls(predicate, layout)
     p = layout.data_qubits
+    addend = _check_int(addend, "addend", 0, 1 << p)
+    controls = _predicate_controls(predicate, layout)
     return Circuit.from_blocks(layout.num_qubits, [
         ("to-fourier", _qft_gates(p)),
         ("add", encoding_phase_gates(addend, p, controls=controls)),

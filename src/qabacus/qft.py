@@ -10,7 +10,7 @@ the inverse transform.
 
 import numpy as np
 
-from .circuit import Circuit, Control, Gate, Hadamard, Phase, Swap
+from .circuit import Circuit, Control, Gate, Hadamard, Phase, Swap, _check_int
 from .statevector import StateVector, _check_width
 from .turns import DyadicTurn
 
@@ -43,14 +43,14 @@ def build_qft(n: int) -> Circuit:
     Exactly n Hadamards and n*(n-1)/2 controlled phase gates with turns
     1/2**k, plus floor(n/2) trailing swaps.
     """
-    _check_width(n)
+    n = _check_width(n)
     return Circuit(n, _qft_gates(n))
 
 
 def build_inverse_qft(n: int) -> Circuit:
     """Inverse Fourier transform; maps analytic_fourier_state(d, n) back
     to |d> deterministically."""
-    _check_width(n)
+    n = _check_width(n)
     return Circuit(n, _qft_gates(n, inverse=True))
 
 
@@ -58,9 +58,8 @@ def analytic_fourier_state(d: int, n: int) -> StateVector:
     """The Fourier image of |d> built directly from its product form,
     without running any gates.  Serves as an independent target for the
     gate-level builders."""
-    _check_width(n)
-    if not isinstance(d, int) or not 0 <= d < (1 << n):
-        raise ValueError(f"value {d!r} out of range for {n} qubits")
+    n = _check_width(n)
+    d = _check_int(d, "value", 0, 1 << n)
     idx = np.arange(1 << n)
     turns = np.zeros(1 << n)
     for b in range(n):

@@ -8,12 +8,12 @@ keeps every gate application a handful of vectorized slice operations.
 """
 
 import math
-import operator
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, Gate, Hadamard, Phase, X
+from .circuit import Circuit, Gate, Hadamard, Phase, X, _check_int
 from .tracking import NotRepresentable, track
 
 __all__ = [
@@ -31,19 +31,23 @@ NORM_TOLERANCE = 1e-12
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
-def _check_width(num_qubits: int) -> None:
-    """Reject a register width outside [1, MAX_QUBITS].  The cap is read
+def _check_width(num_qubits: int) -> int:
+    """The register width as an int in [1, MAX_QUBITS].  The cap is read
     at call time, so reassigning MAX_QUBITS takes effect everywhere."""
-    if not isinstance(num_qubits, int) or not 1 <= num_qubits <= MAX_QUBITS:
+    # The type only: an out-of-range width keeps the text below.
+    num_qubits = _check_int(num_qubits, "register width", -math.inf)
+    if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(
             f"register width must be in [1, {MAX_QUBITS}] qubits, "
-            f"got {num_qubits!r}")
+            f"got {num_qubits}")
+    return num_qubits
 
 
 def _check_tolerance(tolerance: float) -> None:
-    """Reject a readout tolerance outside (0, 1), NaN included."""
-    if not 0.0 < tolerance < 1.0:
-        raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
+    """Reject a readout tolerance that is not a number in (0, 1), NaN
+    included."""
+    if not (isinstance(tolerance, numbers.Real) and 0.0 < tolerance < 1.0):
+        raise ValueError(f"tolerance must be in (0, 1), got {tolerance!r}")
 
 
 class NotDeterministic(Exception):
@@ -56,7 +60,7 @@ class StateVector:
     __slots__ = ("_num_qubits", "_amplitudes")
 
     def __init__(self, num_qubits: int, amplitudes: Iterable[complex]):
-        _check_width(num_qubits)
+        num_qubits = _check_width(num_qubits)
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.shape != (1 << num_qubits,):
             raise ValueError(
@@ -92,17 +96,9 @@ class StateVector:
 
 
 def new_basis_state(num_qubits: int, basis: int) -> StateVector:
-    """The computational basis state |basis> on num_qubits qubits.
-    ``basis`` may be any index-like integer, numpy integers included."""
-    _check_width(num_qubits)
-    try:
-        basis = operator.index(basis)
-    except TypeError:
-        raise ValueError(
-            f"basis index must be an integer, got {basis!r}") from None
-    if not 0 <= basis < (1 << num_qubits):
-        raise ValueError(
-            f"basis index {basis} out of range for {num_qubits} qubits")
+    """The computational basis state |basis> on num_qubits qubits."""
+    num_qubits = _check_width(num_qubits)
+    basis = _check_int(basis, "basis index", 0, 1 << num_qubits)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[basis] = 1.0
     return StateVector(num_qubits, amps)
@@ -201,14 +197,11 @@ def outcome_distribution(state: StateVector) -> dict[int, float]:
 
 
 def _marginal_probs(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    qs = tuple(qubits)
+    qs = tuple(_check_int(q, "qubit", 0, state.num_qubits) for q in qubits)
     if not qs:
         raise ValueError("qubits must be non-empty")
     if len(set(qs)) != len(qs):
         raise ValueError(f"duplicate qubits in {qs}")
-    for q in qs:
-        if not 0 <= q < state.num_qubits:
-            raise ValueError(f"qubit {q} out of range")
     # Qubit q is axis n-1-q; qubits[-1] leads so that qubits[i] is bit i.
     n = state.num_qubits
     probs = state.probabilities().reshape((2,) * n)
@@ -249,8 +242,7 @@ def sample_outcomes(state: StateVector, shots: int,
                     rng: np.random.Generator | None = None) -> list[int]:
     """Born-rule samples of the full register.  Not needed for the
     deterministic circuits in this package, but handy for exploration."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _check_int(shots, "shots", 1)
     if rng is None:
         rng = np.random.default_rng()
     probs = state.probabilities()

@@ -339,3 +339,21 @@ def test_parse_accepts_or_raises_parse_error(text):
     except ParseError:
         return
     assert parse(serialize(circuit)) == circuit
+
+
+def test_label_positions_and_texts_are_checked_before_sorting():
+    gates = (Hadamard(0), X(1))
+    for labels, message in [
+            (((0.5, "mid"),), "label position must be an integer, got 0.5"),
+            ((("a", "b"),), "label position must be an integer, got 'a'"),
+            (((3, "late"),), "label position out of range: must be in [0, 2], "
+                             "got 3"),
+            (((0, 5),), "label text must be a string, got 5"),
+            (((0, "a\rb"),), "label text must be a single line")]:
+        with pytest.raises(ValueError) as err:
+            Circuit(2, gates, labels=labels)
+        assert str(err.value) == message
+    c = Circuit(2, gates, labels=((np.int64(2), "end"), (0, "")))
+    assert c.labels == ((0, ""), (2, "end"))
+    assert type(c.labels[1][0]) is int
+    assert parse(serialize(c)).labels == c.labels

@@ -113,3 +113,12 @@ def test_signed_wrappers():
         encode_signed(8, 4)
     with pytest.raises(ValueError):
         encode_signed(-9, 4)
+
+
+def test_encode_signed_checks_the_width_first():
+    with pytest.raises(ValueError) as err:
+        encode_signed(3, 0)
+    assert str(err.value) == "register width must be in [1, 24] qubits, got 0"
+    with pytest.raises(ValueError) as err:
+        encode_signed(3, 1.5)
+    assert str(err.value) == "register width must be an integer, got 1.5"

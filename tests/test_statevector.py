@@ -6,9 +6,10 @@ import pytest
 
 from helpers import max_amp_diff, random_circuit, random_gate, random_state
 from qabacus import (
-    Circuit, Control, Hadamard, NotDeterministic, Phase, StateVector, Swap,
-    apply_circuit, apply_gate, build_qft, deterministic_outcome,
-    marginal_distribution, new_basis_state, outcome_distribution,
+    ArrayContents, ArrayLayout, Circuit, Control, Hadamard, NotDeterministic,
+    Phase, StateVector, Swap, apply_circuit, apply_gate, build_qft,
+    create_state, deterministic_outcome, marginal_distribution,
+    new_basis_state, outcome_distribution, read_all, run_count,
     sample_outcomes,
 )
 from qabacus.reference import ref_circuit_matrix, ref_dft_matrix, ref_gate_matrix
@@ -259,3 +260,16 @@ def test_sample_outcomes_on_basis_state():
     assert sample_outcomes(new_basis_state(3, 6), 20, rng) == [6] * 20
     with pytest.raises(ValueError):
         sample_outcomes(new_basis_state(1, 0), 0)
+
+
+def test_tolerance_that_is_not_a_number_is_a_value_error():
+    state = new_basis_state(2, 1)
+    for bad in (None, "x", [0.5]):
+        with pytest.raises(ValueError) as err:
+            deterministic_outcome(state, bad)
+        assert str(err.value) == f"tolerance must be in (0, 1), got {bad!r}"
+    with pytest.raises(ValueError, match="^tolerance must be in"):
+        read_all(create_state(ArrayContents((1, 2)), ArrayLayout(1, 2)),
+                 ArrayLayout(1, 2), None)
+    with pytest.raises(ValueError, match="^tolerance must be in"):
+        run_count([1], tolerance="x")
