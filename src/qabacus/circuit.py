@@ -161,6 +161,8 @@ class Circuit:
             # parse splits lines at every line boundary str.splitlines knows.
             if text.splitlines() not in ([], [text]):
                 raise ValueError("label text must be a single line")
+            if text != text.strip():  # parse strips it, so it would not round-trip
+                raise ValueError(f"label text has outer whitespace: {text!r}")
             labels.append((pos, text))
         # Canonical label order: by position, stable.
         object.__setattr__(self, "labels",

@@ -12,8 +12,6 @@ qubits meeting in one phase gate, a Hadamard on a theta outside
 superposed at the end) raises ``NotRepresentable``.
 """
 
-import math
-
 from .circuit import Circuit, Hadamard, Phase, X
 from .turns import MAX_DYADIC_EXPONENT, DyadicTurn
 
@@ -29,10 +27,10 @@ class NotRepresentable(Exception):
 
 def _numerator(turn) -> int:
     """The turn as a numerator over 2**MAX_DYADIC_EXPONENT, exactly."""
-    scaled = math.ldexp(turn.value, MAX_DYADIC_EXPONENT)
-    if not scaled.is_integer():
+    k = turn.dyadic_exponent()
+    if k is None:
         raise NotRepresentable(f"turn {turn!r} is not a dyadic")
-    return int(scaled)
+    return turn.numerator << (MAX_DYADIC_EXPONENT - k)
 
 
 def track(circuit: Circuit, basis: int) -> tuple[int, DyadicTurn]:

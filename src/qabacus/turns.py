@@ -1,8 +1,11 @@
 """Phase arithmetic in units of full turns (angle = 2*pi*turn).
 
-A ``Turn`` is a plain finite float in [0, 1).  A ``DyadicTurn`` is an exact
-fraction with a power-of-two denominator; sums, negations and
-power-of-two scalings of dyadic turns never round.
+Every turn is an exact fraction numerator / 2**denom_exponent in [0, 1):
+a ``Turn`` is built from a finite float, which is already such a
+fraction, and sums, negations and power-of-two scalings never round.
+``value`` is the float view.  A ``DyadicTurn`` differs only in its cap
+of 2**52 on the denominator, its exact equality and its ``num/2**k``
+text.
 """
 
 import math
@@ -19,26 +22,50 @@ MAX_DYADIC_EXPONENT = 52
 _QUARTER_FACTORS = {0.0: 1.0 + 0.0j, 0.25: 1.0j, 0.5: -1.0 + 0.0j, 0.75: -1.0j}
 
 
-def _wrap_unit(value: float) -> float:
-    v = value % 1.0
-    # x % 1.0 can round up to 1.0 for tiny negative x.
-    return 0.0 if v >= 1.0 else v
-
-
 class Turn:
     """A phase as a fraction of a revolution, normalized into [0, 1)."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_numerator", "_denom_exponent", "_value")
 
     def __init__(self, value: float):
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"turn must be finite, got {value!r}")
-        self._value = _wrap_unit(value)
+        # x % 1.0 can round up to 1.0 for tiny negative x; _set wraps 1/1 to 0.
+        num, den = (value % 1.0).as_integer_ratio()
+        self._set(num, den.bit_length() - 1)
+
+    def _set(self, num: int, k: int) -> None:
+        """Store num / 2**k taken mod 1, reduced until the numerator is odd
+        (zero reduces to 0/1), so equal turns have equal pairs."""
+        num &= (1 << k) - 1
+        if not num & 1:  # most builder numerators are odd already
+            shift = (num & -num).bit_length() - 1 if num else k
+            num >>= shift
+            k -= shift
+        self._numerator = num
+        self._denom_exponent = k
+        value = num / (1 << k)  # correctly rounded; may round up to 1.0
+        self._value = value if value < 1.0 else 0.0
+
+    def _result(self, other: "Turn", num: int, k: int) -> "Turn":
+        """num / 2**k as a DyadicTurn if both operands are one, else a Turn."""
+        exact = isinstance(self, DyadicTurn) and isinstance(other, DyadicTurn)
+        result = object.__new__(DyadicTurn if exact else Turn)
+        result._set(num, k)
+        return result
 
     @property
     def value(self) -> float:
         return self._value
+
+    @property
+    def numerator(self) -> int:
+        return self._numerator
+
+    @property
+    def denom_exponent(self) -> int:
+        return self._denom_exponent
 
     def is_zero(self) -> bool:
         return self._value == 0.0
@@ -55,28 +82,24 @@ class Turn:
         """Principal value of turn * 2**exponent (whole revolutions dropped)."""
         if exponent < 0:
             raise ValueError(f"exponent must be >= 0, got {exponent}")
-        # Scaling a float by a power of two is exact, so no error accumulates.
-        try:
-            scaled = math.ldexp(self._value, exponent)
-        except OverflowError:
-            # Every float of 2**53 or more is an integer: no fraction is left.
-            return Turn(0.0)
-        return Turn(scaled % 1.0)
+        k = max(self._denom_exponent - exponent, 0)
+        return self._result(self, self._numerator, k)
 
     def dyadic_exponent(self) -> int | None:
-        """Smallest k with value * 2**k integral, or None if there is none."""
-        for k in range(MAX_DYADIC_EXPONENT + 1):
-            if math.ldexp(self._value, k).is_integer():
-                return k
-        return None
+        """Smallest k with turn * 2**k integral, or None if k exceeds 52."""
+        k = self._denom_exponent
+        return k if k <= MAX_DYADIC_EXPONENT else None
 
     def __neg__(self) -> "Turn":
-        return Turn(-self._value)
+        return self._result(self, -self._numerator, self._denom_exponent)
 
     def __add__(self, other: "Turn") -> "Turn":
         if not isinstance(other, Turn):
             return NotImplemented
-        return Turn(self._value + other.value)
+        a, b = self._denom_exponent, other.denom_exponent
+        k = max(a, b)
+        num = (self._numerator << (k - a)) + (other.numerator << (k - b))
+        return self._result(other, num, k)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Turn):
@@ -94,65 +117,27 @@ class Turn:
 
 
 class DyadicTurn(Turn):
-    """Exact turn numerator / 2**denom_exponent, canonically reduced.
+    """Exact turn numerator / 2**denom_exponent with denom_exponent <= 52.
 
     The numerator is wrapped mod 2**denom_exponent and reduced until odd
     (zero reduces to 0/1), so equal values have equal representations.
     """
 
-    __slots__ = ("_numerator", "_denom_exponent")
+    __slots__ = ()
 
     def __init__(self, numerator: int, denom_exponent: int):
-        numerator = operator.index(numerator)  # reject floats, allow int-likes
-        denom_exponent = operator.index(denom_exponent)
+        if type(numerator) is not int or type(denom_exponent) is not int:
+            if isinstance(numerator, bool) or isinstance(denom_exponent, bool):
+                raise TypeError("DyadicTurn fields must be integers, not bool")
+            numerator = operator.index(numerator)  # reject floats, allow int-likes
+            denom_exponent = operator.index(denom_exponent)
         if denom_exponent < 0:
             raise ValueError(f"denom_exponent must be >= 0, got {denom_exponent}")
         if denom_exponent > MAX_DYADIC_EXPONENT:
             raise ValueError(
                 f"denom_exponent {denom_exponent} exceeds {MAX_DYADIC_EXPONENT}; "
                 "the float conversion would round")
-        num = numerator % (1 << denom_exponent)
-        k = denom_exponent
-        while num and num % 2 == 0:
-            num //= 2
-            k -= 1
-        if num == 0:
-            k = 0
-        self._numerator = num
-        self._denom_exponent = k
-        self._value = math.ldexp(num, -k)  # finite and in [0, 1) already
-
-    @property
-    def numerator(self) -> int:
-        return self._numerator
-
-    @property
-    def denom_exponent(self) -> int:
-        return self._denom_exponent
-
-    def dyadic_exponent(self) -> int:
-        return self._denom_exponent
-
-    def times_pow2(self, exponent: int) -> "DyadicTurn":
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
-        if exponent >= self._denom_exponent:
-            return DyadicTurn(0, 0)
-        k = self._denom_exponent - exponent
-        return DyadicTurn(self._numerator % (1 << k), k)
-
-    def __neg__(self) -> "DyadicTurn":
-        return DyadicTurn(-self._numerator, self._denom_exponent)
-
-    def __add__(self, other: Turn) -> Turn:
-        if isinstance(other, DyadicTurn):
-            k = max(self._denom_exponent, other.denom_exponent)
-            num = (self._numerator << (k - self._denom_exponent)) + \
-                  (other.numerator << (k - other.denom_exponent))
-            return DyadicTurn(num, k)
-        return Turn.__add__(self, other)
-
-    __hash__ = None
+        self._set(numerator, denom_exponent)
 
     def __repr__(self) -> str:
         return f"DyadicTurn({self._numerator}/{1 << self._denom_exponent})"

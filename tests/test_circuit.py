@@ -349,7 +349,8 @@ def test_label_positions_and_texts_are_checked_before_sorting():
             (((3, "late"),), "label position out of range: must be in [0, 2], "
                              "got 3"),
             (((0, 5),), "label text must be a string, got 5"),
-            (((0, "a\rb"),), "label text must be a single line")]:
+            (((0, "a\rb"),), "label text must be a single line"),
+            (((0, " prep "),), "label text has outer whitespace: ' prep '")]:
         with pytest.raises(ValueError) as err:
             Circuit(2, gates, labels=labels)
         assert str(err.value) == message

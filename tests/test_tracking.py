@@ -153,6 +153,13 @@ def test_named_rules():
     c = Circuit(1, (Hadamard(0), Phase(quarter, 0), X(0), Phase(quarter, 0),
                     Hadamard(0)))
     assert track(c, 0) == (0, quarter)
+    # A plain float turn is just as exact: Turn(0.25) tracks like 1/4.
+    c = Circuit(1, (Hadamard(0), Phase(Turn(0.25), 0), X(0),
+                    Phase(Turn(0.25), 0), Hadamard(0)))
+    assert track(c, 0) == (0, quarter)
+    # 2**-52 is the finest turn the tracker holds.
+    assert track(Circuit(1, (Phase(Turn(2**-52), 0),)), 1) == \
+        (1, DyadicTurn(1, 52))
     # An open dot on a superposed qubit: the turn goes to |0>.
     c = Circuit(2, (Hadamard(0), Phase(half, 1, (Control(0, False),)),
                     Hadamard(0)))
@@ -178,7 +185,9 @@ def test_named_rules():
                  Hadamard(1))), 1),
     # The encoder alone ends in a Fourier state, not a basis state.
     (build_encoder(5, 3), 0),
-], ids=["two-superposed", "quarter-h", "non-dyadic", "encoder"])
+    # A float turn finer than 2**-52 on a bit.
+    (Circuit(1, (Phase(Turn(2**-53), 0),)), 1),
+], ids=["two-superposed", "quarter-h", "non-dyadic", "encoder", "too-fine"])
 def test_named_cases_go_dense_and_match(circuit, basis, dense_gates):
     with pytest.raises(NotRepresentable):
         track(circuit, basis)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,10 @@ def test_dyadic_rejects_float_fields():
         DyadicTurn(0.5, 1)
     with pytest.raises(TypeError):
         DyadicTurn(1, 2.0)
+    with pytest.raises(TypeError):
+        DyadicTurn(True, 1)
+    with pytest.raises(TypeError):
+        DyadicTurn(1, True)
 
 
 _dyadics = st.builds(
@@ -147,3 +152,40 @@ def test_times_pow2_matches_fraction(value, exponent):
     turn = Turn(value)
     exact = (Fraction(turn.value) * (1 << exponent)) % 1
     assert turn.times_pow2(exponent).value == float(exact)
+
+
+# Every turn, plain or dyadic, is an exact fraction num/2**k in [0, 1).
+# Plain turns come from floats across the whole exponent range, the
+# subnormals and values near 1e-300 included; each is drawn with the
+# fraction it must equal: x % 1.0 as a float, with 1.0 wrapped to 0.
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+    st.floats(min_value=-1e-290, max_value=1e-290),
+)
+_exact_turns = st.one_of(
+    _floats.map(lambda x: (Turn(x), Fraction(x % 1.0) % 1)),
+    _dyadics.map(lambda t: (t, _as_fraction(t))),
+)
+
+
+def _check_exact(result: Turn, expected: Fraction, *operands: Turn):
+    assert result.numerator == expected.numerator
+    assert 1 << result.denom_exponent == expected.denominator
+    rounded = float(expected)  # correctly rounded
+    assert result.value == (0.0 if rounded == 1.0 else rounded)
+    dyadic = all(isinstance(t, DyadicTurn) for t in operands)
+    assert type(result) is (DyadicTurn if dyadic else Turn)
+    k = expected.denominator.bit_length() - 1
+    assert result.dyadic_exponent() == (k if k <= 52 else None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_exact_turns, _exact_turns, st.integers(min_value=0, max_value=1200))
+def test_turn_arithmetic_matches_fraction(first, second, exponent):
+    (a, fa), (b, fb) = first, second
+    _check_exact(a, fa, a)
+    _check_exact(-a, -fa % 1, a)
+    _check_exact(a + b, (fa + fb) % 1, a, b)
+    _check_exact(b + a, (fa + fb) % 1, a, b)
+    _check_exact(a.times_pow2(exponent), fa * 2**exponent % 1, a)
