@@ -1,15 +1,24 @@
-"""Dense complex state vectors and gate-application kernels.
+"""State vectors, in dense or basis form, and gate-application kernels.
 
-The state of ``n`` qubits is a numpy array of ``2**n`` complex128
-amplitudes.  Qubit 0 is the least significant bit of the basis index,
-so basis state ``|q_{n-1} ... q_1 q_0>`` sits at index
-``sum(q_b << b)``.  Kernels work on ``(2,)*n`` reshaped views, which
-keeps every gate application a handful of vectorized slice operations.
+The state of ``n`` qubits has ``2**n`` complex128 amplitudes.  Qubit 0
+is the least significant bit of the basis index, so basis state
+``|q_{n-1} ... q_1 q_0>`` sits at index ``sum(q_b << b)``.
+
+A ``StateVector`` holds them in one of two forms.  The dense form is the
+numpy array itself.  The basis form is a basis index and the one
+unit-modulus amplitude it carries: ``new_basis_state`` makes it, and
+``apply_circuit`` keeps it for every circuit that ``tracking.track``
+runs exactly, so the counter, the phase estimators and encode-then-decode
+go from input to readout without a ``2**n`` array.  The dense array of
+a basis-form state is built on the first read of ``amplitudes``.
+
+Kernels work on ``(2,)*n`` reshaped views of the dense form, which keeps
+every gate application a handful of vectorized slice operations.
 """
 
 import math
 import numbers
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,25 +63,49 @@ class NotDeterministic(Exception):
     """No single outcome carries probability >= 1 - tolerance."""
 
 
-class StateVector:
-    """Immutable normalized amplitude vector over a qubit register."""
+class _Basis(NamedTuple):
+    """The basis form: ``amp`` at basis ``index``, zero elsewhere."""
 
-    __slots__ = ("_num_qubits", "_amplitudes")
+    index: int
+    amp: complex
+
+
+class StateVector:
+    """Immutable normalized state of a qubit register.
+
+    ``amplitudes`` is either the dense array of ``2**n`` amplitudes or,
+    for the private basis form ``StateVector(n, _Basis(index, amp))``,
+    a basis index and one amplitude.  Both forms are checked here: the
+    width against MAX_QUBITS, the shape or the index, and the norm.  A
+    basis-form state builds its dense array on the first read of
+    ``amplitudes`` and keeps it.
+    """
+
+    __slots__ = ("_num_qubits", "_amplitudes", "_basis")
 
     def __init__(self, num_qubits: int, amplitudes: Iterable[complex]):
         num_qubits = _check_width(num_qubits)
-        amps = np.array(amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << num_qubits,):
-            raise ValueError(
-                f"expected {1 << num_qubits} amplitudes for {num_qubits} "
-                f"qubits, got shape {amps.shape}")
-        # One pass; a NaN or infinite amplitude makes the sum NaN or inf.
-        sumsq = float(np.vdot(amps, amps).real)
+        if isinstance(amplitudes, _Basis):
+            index = _check_int(amplitudes.index, "basis index", 0,
+                               1 << num_qubits)
+            amp = complex(amplitudes.amp)
+            sumsq = amp.real * amp.real + amp.imag * amp.imag
+            basis, amps = _Basis(index, amp), None
+        else:
+            amps = np.array(amplitudes, dtype=np.complex128)
+            if amps.shape != (1 << num_qubits,):
+                raise ValueError(
+                    f"expected {1 << num_qubits} amplitudes for {num_qubits} "
+                    f"qubits, got shape {amps.shape}")
+            # One pass; a NaN or infinite amplitude makes the sum NaN or inf.
+            sumsq = float(np.vdot(amps, amps).real)
+            amps.flags.writeable = False
+            basis = None
         if not abs(sumsq - 1.0) <= NORM_TOLERANCE:  # NaN fails too
             raise ValueError(f"state is not normalized: sum |a|^2 = {sumsq!r}")
-        amps.flags.writeable = False
         self._num_qubits = num_qubits
         self._amplitudes = amps
+        self._basis = basis
 
     @property
     def num_qubits(self) -> int:
@@ -81,6 +114,11 @@ class StateVector:
     @property
     def amplitudes(self) -> np.ndarray:
         """Read-only view of the 2**n amplitudes."""
+        if self._amplitudes is None:
+            amps = np.zeros(1 << self._num_qubits, dtype=np.complex128)
+            amps[self._basis.index] = self._basis.amp
+            amps.flags.writeable = False
+            self._amplitudes = amps
         return self._amplitudes
 
     @property
@@ -88,7 +126,7 @@ class StateVector:
         return 1 << self._num_qubits
 
     def probabilities(self) -> np.ndarray:
-        a = self._amplitudes
+        a = self.amplitudes
         return a.real * a.real + a.imag * a.imag
 
     def __repr__(self) -> str:
@@ -96,12 +134,9 @@ class StateVector:
 
 
 def new_basis_state(num_qubits: int, basis: int) -> StateVector:
-    """The computational basis state |basis> on num_qubits qubits."""
-    num_qubits = _check_width(num_qubits)
-    basis = _check_int(basis, "basis index", 0, 1 << num_qubits)
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
-    amps[basis] = 1.0
-    return StateVector(num_qubits, amps)
+    """The computational basis state |basis> on num_qubits qubits, in
+    basis form."""
+    return StateVector(num_qubits, _Basis(basis, 1.0))
 
 
 def _slices(n: int, bits: dict[int, int]) -> tuple:
@@ -148,24 +183,27 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def _apply_tracked(state: StateVector, circuit: Circuit) -> StateVector | None:
-    """The circuit run as exact dyadic bookkeeping, or None if the state
-    is not a basis state or the circuit leaves basis-in, basis-out form."""
-    # One scan: a basis state has at most two nonzero parts (re and im),
-    # both of the same amplitude.
-    nonzero = state.amplitudes.view(np.float64) != 0.0
-    if np.count_nonzero(nonzero) > 2:
-        return None
-    parts = np.flatnonzero(nonzero) >> 1
-    basis = int(parts[0])
-    if parts[-1] != basis:
-        return None
+    """The circuit run as exact dyadic bookkeeping, in basis form, or
+    None if the state is not a basis state or the circuit leaves
+    basis-in, basis-out form."""
+    basis = state._basis
+    if basis is None:
+        # One scan: a basis state has at most two nonzero parts (re and
+        # im), both of the same amplitude.
+        nonzero = state.amplitudes.view(np.float64) != 0.0
+        if np.count_nonzero(nonzero) > 2:
+            return None
+        parts = np.flatnonzero(nonzero) >> 1
+        index = int(parts[0])
+        if parts[-1] != index:
+            return None
+        basis = _Basis(index, complex(state.amplitudes[index]))
     try:
-        out, phase = track(circuit, basis)
+        out, phase = track(circuit, basis.index)
     except NotRepresentable:
         return None
-    amps = np.zeros(state.dim, dtype=np.complex128)
-    amps[out] = state.amplitudes[basis] * phase.phase_factor()
-    return StateVector(state.num_qubits, amps)
+    return StateVector(state.num_qubits,
+                       _Basis(out, basis.amp * phase.phase_factor()))
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -173,9 +211,9 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
 
     A basis-state input runs first as exact dyadic phase bookkeeping
     (``tracking.track``); its single nonzero amplitude picks up the
-    tracked global phase at the output basis index.  Any other input,
-    or a circuit the bookkeeping cannot represent, runs gate by gate on
-    a copy of the amplitudes.
+    tracked global phase at the output basis index, and the result is in
+    basis form.  Any other input, or a circuit the bookkeeping cannot
+    represent, runs gate by gate on a copy of the dense amplitudes.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
@@ -196,12 +234,18 @@ def outcome_distribution(state: StateVector) -> dict[int, float]:
     return marginal_distribution(state, range(state.num_qubits))
 
 
-def _marginal_probs(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
+def _check_qubits(state: StateVector, qubits: Sequence[int]) -> tuple[int, ...]:
+    """The readout qubits as distinct ints in range, at least one."""
     qs = tuple(_check_int(q, "qubit", 0, state.num_qubits) for q in qubits)
     if not qs:
         raise ValueError("qubits must be non-empty")
     if len(set(qs)) != len(qs):
         raise ValueError(f"duplicate qubits in {qs}")
+    return qs
+
+
+def _marginal_probs(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
+    qs = _check_qubits(state, qubits)
     # Qubit q is axis n-1-q; qubits[-1] leads so that qubits[i] is bit i.
     n = state.num_qubits
     probs = state.probabilities().reshape((2,) * n)
@@ -227,10 +271,18 @@ def deterministic_outcome(state: StateVector, tolerance: float = 1e-9, *,
     the threshold.
     """
     _check_tolerance(tolerance)
-    probs = _marginal_probs(
-        state, range(state.num_qubits) if qubits is None else qubits)
-    best = int(np.argmax(probs))
-    p = float(probs[best])
+    if qubits is None:
+        qubits = range(state.num_qubits)
+    if state._basis is None:
+        probs = _marginal_probs(state, qubits)
+        best = int(np.argmax(probs))
+        p = float(probs[best])
+    else:
+        # The one outcome with any probability: its bits, re-ordered.
+        index, amp = state._basis
+        best = sum(((index >> q) & 1) << bit
+                   for bit, q in enumerate(_check_qubits(state, qubits)))
+        p = amp.real * amp.real + amp.imag * amp.imag
     if p < 1.0 - tolerance:
         raise NotDeterministic(
             f"largest outcome probability is {p:.6g} (index {best}), "

@@ -1,0 +1,155 @@
+"""The basis form of StateVector: the same checks, readouts and results as
+the dense form, and no 2**n array unless something reads ``amplitudes``."""
+
+import cmath
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qabacus import (
+    Circuit, NotDeterministic, StateVector, apply_circuit,
+    build_qft_phase_estimator, deterministic_outcome, marginal_distribution, new_basis_state,
+    outcome_distribution, run_count, sample_outcomes,
+)
+from qabacus.statevector import NORM_TOLERANCE, _Basis
+
+# A unit amplitude whose |a|^2 rounds to 1 - 2**-53, so a tolerance of
+# 1e-17 (where 1 - tolerance rounds to 1) cannot be cleared.
+_SHORT = complex(math.cos(0.14), math.sin(0.14))
+
+
+def _both_forms(n, index, amp):
+    """The state amp*|index> once in basis form and once dense."""
+    amps = np.zeros(1 << n, dtype=np.complex128)
+    amps[index] = amp
+    return StateVector(n, _Basis(index, amp)), StateVector(n, amps)
+
+
+def _outcome(state, qubits, tolerance):
+    """deterministic_outcome's result, or its exception's type and text."""
+    try:
+        if qubits is None:
+            return deterministic_outcome(state, tolerance)
+        return deterministic_outcome(state, tolerance, qubits=qubits)
+    except (ValueError, NotDeterministic) as exc:
+        return type(exc), str(exc)
+
+
+QUBIT_ARGS = [None, [0], [2], [4, 0], [0, 4], [1, 3, 2], range(5), range(2, 5),
+              [], [1, 1], [5], [-1], [True], [0.5], ["0"], [np.int64(3)]]
+TOLERANCES = [1e-9, 0.25, 1e-17, 0.0, 1.0, math.nan, None, "x"]
+
+
+@pytest.mark.parametrize("amp", [1.0, -1j, _SHORT], ids=["one", "-i", "short"])
+@pytest.mark.parametrize("qubits", QUBIT_ARGS, ids=repr)
+def test_readout_is_the_same_in_both_forms(qubits, amp):
+    basis, dense = _both_forms(5, 0b10110, amp)
+    for tolerance in TOLERANCES:
+        want = _outcome(dense, qubits, tolerance)
+        assert _outcome(basis, qubits, tolerance) == want, tolerance
+
+
+def test_readout_table_covers_every_branch():
+    basis, dense = _both_forms(5, 0b10110, _SHORT)
+    assert _outcome(basis, [4, 0], 1e-9) == 0b01
+    assert _outcome(basis, None, 1e-17) == (
+        NotDeterministic, "largest outcome probability is 1 (index 22), "
+        "below 1 - 1e-17")
+    assert _outcome(basis, [1, 1], 1e-9) == (
+        ValueError, "duplicate qubits in (1, 1)")
+    assert _outcome(basis, [], 1e-9) == (ValueError, "qubits must be non-empty")
+    # The tolerance is checked before the qubits.
+    assert _outcome(basis, [], None) == (
+        ValueError, "tolerance must be in (0, 1), got None")
+
+
+def test_basis_amplitudes_are_read_only_and_cached():
+    state = new_basis_state(3, 5)
+    amps = state.amplitudes
+    assert state.amplitudes is amps
+    assert np.array_equal(amps, [0, 0, 0, 0, 0, 1, 0, 0])
+    with pytest.raises(ValueError):
+        amps[5] = 0.5
+    out = apply_circuit(state, Circuit(3))
+    with pytest.raises(ValueError):
+        out.amplitudes[0] = 1
+
+
+@pytest.mark.parametrize("amp", [
+    0.5, 0.0, 1 + 2 * NORM_TOLERANCE, 1 - 2 * NORM_TOLERANCE, 1j * 1.1,
+    math.nan, complex(math.nan, 0), complex(0, math.nan), math.inf,
+    complex(math.inf, math.nan),
+])
+def test_basis_form_rejects_a_non_unit_amplitude(amp):
+    with pytest.raises(ValueError, match="^state is not normalized"):
+        StateVector(2, _Basis(1, amp))
+
+
+def test_basis_form_checks_width_index_and_accepts_the_tolerance():
+    for amp in (1 + 0.4 * NORM_TOLERANCE, 1 - 0.4 * NORM_TOLERANCE,
+                cmath.exp(0.3j)):
+        assert StateVector(2, _Basis(3, amp)).amplitudes[3] == amp
+    with pytest.raises(ValueError, match=r"^basis index out of range"):
+        StateVector(2, _Basis(4, 1.0))
+    with pytest.raises(ValueError, match="^basis index must be an integer"):
+        StateVector(2, _Basis(True, 1.0))
+    with pytest.raises(ValueError) as err:
+        new_basis_state(25, 0)
+    assert str(err.value) == "register width must be in [1, 24] qubits, got 25"
+
+
+def test_distributions_and_samples_agree_between_forms():
+    basis, dense = _both_forms(4, 0b1001, cmath.exp(1.1j))
+    assert np.array_equal(basis.probabilities(), dense.probabilities())
+    assert outcome_distribution(basis) == outcome_distribution(dense)
+    for qubits in ([0], [3, 0], [1, 2], range(4)):
+        assert marginal_distribution(basis, qubits) == \
+            marginal_distribution(dense, qubits)
+    assert sample_outcomes(basis, 16, np.random.default_rng(5)) == \
+        sample_outcomes(dense, 16, np.random.default_rng(5))
+
+
+# Allocation, not time: each figure is tracemalloc's peak over one call
+# after a warm-up call.
+
+def _peak_mib(call) -> float:
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_counting_16_bits_builds_no_dense_array():
+    # 21 qubits: a dense array would be 32 MiB.
+    assert _peak_mib(lambda: run_count([1, 0] * 8)) < 1.0
+
+
+def test_qft_estimator_at_8_bits_builds_no_dense_array():
+    # 16 qubits: a dense array would be 1 MiB.
+    def estimate():
+        circuit = build_qft_phase_estimator(8)
+        state = apply_circuit(new_basis_state(16, 173), circuit)
+        assert deterministic_outcome(state, qubits=range(8, 16)) == 173
+
+    assert _peak_mib(estimate) < 0.5
+
+
+def test_amplitudes_build_the_dense_array_once():
+    dense_mib = 16 * 2**21 / 2**20
+    state = new_basis_state(21, 5)
+    tracemalloc.start()
+    try:
+        state.amplitudes
+        first = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.reset_peak()
+        state.amplitudes
+        second = tracemalloc.get_traced_memory()[1] / 2**20 - first
+    finally:
+        tracemalloc.stop()
+    assert dense_mib <= first < dense_mib + 1
+    assert second < 0.01

@@ -267,11 +267,16 @@ def _dense_loop(circuit, basis) -> np.ndarray:
 
 
 def _check_tracked(circuit, basis):
-    out, _ = track(circuit, basis)
+    out, phase = track(circuit, basis)
     state = apply_circuit(new_basis_state(circuit.num_qubits, basis), circuit)
     expected = _dense_loop(circuit, basis)
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
     assert abs(expected[out]) == pytest.approx(1, abs=1e-12)
+    # The basis-form result materializes bit for bit as the dense array
+    # with the tracked global phase at the tracked index.
+    tracked = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
+    tracked[out] = phase.phase_factor()
+    assert state.amplitudes.tobytes() == tracked.tobytes()
 
 
 def _below(bits):
