@@ -3,17 +3,17 @@
 Runs ``python3 qbench/run.py --workload W --seed S --seconds T --trace 0``
 unedited, in the checkout ``--root`` (by default the repository this
 script sits in), for each workload named in that checkout's
-BENCHMARK.json and each seed.  Each run's last standard-output line (the
+BENCHMARK.json and each seed in ``SEEDS``; ``T`` is that file's
+``run_seconds``.  Each run's last standard-output line (the
 benchmark's JSON result) is kept verbatim, one entry per run; nothing is
 averaged.  The file also records the command, the CPU count, Python,
 numpy and the checkout's git sha.
 
     python3 scripts/bench_snapshot.py --tag after
-    python3 scripts/bench_snapshot.py --tag before --root ../parent \\
-        --out BENCH_before.json
+    python3 scripts/bench_snapshot.py --tag before --root ../parent
 
-Writes ``BENCH_<tag>.json`` in the repository root unless ``--out`` is
-given.  Uses only the standard library.
+Writes ``BENCH_<tag>.json`` in the root of the repository this script
+sits in.  Uses only the standard library.
 """
 
 import argparse
@@ -55,22 +55,17 @@ def main(argv=None) -> int:
     parser.add_argument("--tag", required=True)
     parser.add_argument("--root", type=Path, default=REPO,
                         help="checkout whose qbench/run.py runs")
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    parser.add_argument("--seconds", type=int, default=8)
-    parser.add_argument("--workloads", nargs="+",
-                        help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    out = args.out or REPO / f"BENCH_{args.tag}.json"
+    seconds = str(spec["run_seconds"])
+    out = REPO / f"BENCH_{args.tag}.json"
 
     runs = []
-    for workload in workloads:
-        for seed in args.seeds:
+    for workload in [w["name"] for w in spec["workloads"]]:
+        for seed in SEEDS:
             cmd = COMMAND + ["--workload", workload, "--seed", str(seed),
-                             "--seconds", str(args.seconds), "--trace", "0"]
+                             "--seconds", seconds, "--trace", "0"]
             print(" ".join(cmd), file=sys.stderr, flush=True)
             last = _run(cmd, root).rstrip("\n").rsplit("\n", 1)[-1]
             runs.append({"workload": workload, "seed": seed, "last_line": last})
@@ -78,8 +73,8 @@ def main(argv=None) -> int:
     snapshot = {
         "tag": args.tag,
         "command": COMMAND + ["--workload", "W", "--seed", "S", "--seconds",
-                              str(args.seconds), "--trace", "0"],
-        "seeds": args.seeds,
+                              seconds, "--trace", "0"],
+        "seeds": list(SEEDS),
         "host": _host(root),
         "runs": runs,
     }
