@@ -65,6 +65,15 @@ class Control:
         object.__setattr__(self, "positive", positive)
 
 
+def _pattern_controls(match: int, first: int, width: int,
+                      mask: int = -1) -> tuple[Control, ...]:
+    """The controls that select qubits first..first+width-1 holding the
+    bits of ``match`` where ``mask`` has a 1: most significant first, a
+    closed dot for each 1-bit and an open dot for each 0-bit."""
+    return tuple(Control(first + b, positive=bool((match >> b) & 1))
+                 for b in range(width - 1, -1, -1) if (mask >> b) & 1)
+
+
 @dataclass(frozen=True)
 class _OneQubitGate:
     """The shape shared by Hadamard and X.  Each subclass is its own gate

@@ -16,7 +16,8 @@ import enum
 import operator
 
 from .circuit import Circuit, Control, Phase, _check_int
-from .phase_estimation import PhaseTable, _kickback_frame
+from .phase_estimation import PhaseTable
+from .qft import _phase_frame
 from .statevector import apply_circuit, deterministic_outcome, new_basis_state
 from .turns import DyadicTurn
 
@@ -78,7 +79,9 @@ def _counting_circuit(n: int, target: CountTarget, allow_wraparound: bool, *,
     count = (Phase(DyadicTurn(1, m - l), n + l,
                    (Control(k, positive=positive),))
              for k in range(n) for l in range(m - 1, -1, -1))
-    return _kickback_frame(n, m, [("count", count)], readout=readout)
+    ancillas = range(n, n + m)
+    return _phase_frame(n + m, ancillas, [("count", count)],
+                        ancillas if readout else None)
 
 
 def build_count_stage(n: int, target: CountTarget = CountTarget.ONES, *,

@@ -2,32 +2,22 @@
 
 An integer d fits on an n-qubit register as the Fourier image of |d>:
 after a Hadamard layer, qubit l is rotated by the binary-fraction turn
-``fourier_phase(d, l, n)``.  No controlled gates are involved, so the
-data lives purely in phases and amplitude magnitudes stay flat at
-2**(-n/2).  Decoding is the inverse QFT with swaps followed by a
-deterministic readout.
+``fourier_phase(d, l, n)``, which ``qft`` defines and this module
+re-exports.  No controlled gates are involved, so the data lives purely
+in phases and amplitude magnitudes stay flat at 2**(-n/2).  The encoder
+is the shared phase frame without a readout; decoding is the inverse QFT
+with swaps followed by a deterministic readout.
 """
 
-from .circuit import Circuit, Control, Gate, Hadamard, Phase, _check_int
-from .qft import build_inverse_qft
+from .circuit import Circuit, Control, Gate, Phase, _check_int
+from .qft import _phase_frame, build_inverse_qft, fourier_phase
 from .statevector import StateVector, _check_width, apply_circuit, \
     deterministic_outcome, new_basis_state
-from .turns import DyadicTurn
 
 __all__ = [
     "fourier_phase", "encoding_phase_gates", "build_encoder", "encode_value",
     "decode_register", "encode_signed", "decode_signed",
 ]
-
-
-def fourier_phase(d: int, l: int, n: int) -> DyadicTurn:
-    """Turn carried by qubit l of the Fourier image of |d> on n qubits:
-    (d mod 2**(n-l)) / 2**(n-l), exact."""
-    n = _check_int(n, "register width", 1)
-    l = _check_int(l, "qubit index", 0, n)
-    d = _check_int(d, "value", 0, 1 << n)
-    width = n - l
-    return DyadicTurn(d % (1 << width), width)
 
 
 def encoding_phase_gates(value: int, num_qubits: int, *,
@@ -39,7 +29,10 @@ def encoding_phase_gates(value: int, num_qubits: int, *,
     attached to every gate, which conditions the whole addition.  In
     Fourier space these layers compose additively: stacking the layers
     for a and b equals the layer for (a + b) mod 2**num_qubits.
+    The width must be at least 1 and ``value`` in [0, 2**num_qubits).
     """
+    num_qubits = _check_int(num_qubits, "register width", 1)
+    value = _check_int(value, "value", 0, 1 << num_qubits)
     return tuple(
         Phase(fourier_phase(value, l, num_qubits), l, controls)
         for l in range(num_qubits - 1, -1, -1))
@@ -52,10 +45,7 @@ def build_encoder(d: int, n: int) -> Circuit:
     Values outside [0, 2**n) are rejected rather than silently reduced.
     """
     n = _check_width(n)
-    return Circuit.from_blocks(n, [
-        ("prep", [Hadamard(l) for l in range(n - 1, -1, -1)]),
-        ("encode", encoding_phase_gates(d, n)),
-    ])
+    return _phase_frame(n, range(n), [("encode", encoding_phase_gates(d, n))])
 
 
 def encode_value(d: int, n: int) -> StateVector:

@@ -3,9 +3,10 @@
 A diagonal unitary is represented by its ``PhaseTable``: one eigenphase
 turn per computational basis state of the n-qubit input register.  The
 estimator circuit places ``m`` ancilla qubits above the input register
-(input = qubits 0..n-1, ancillas = qubits n..n+m-1), kicks the phases
-of the controlled powers of the unitary onto the ancillas, and reads
-the estimate out through an inverse QFT with swaps.
+(input = qubits 0..n-1, ancillas = qubits n..n+m-1) and runs the kicks
+of the controlled powers of the unitary inside ``qft``'s phase frame:
+Hadamards on the ancillas, the kicks, then an inverse QFT with swaps on
+the ancillas that reads the estimate out.
 
 When every eigenphase is an m-bit dyadic, the readout is exact: the
 estimator is deterministic for every basis input.
@@ -14,9 +15,8 @@ estimator is deterministic for every basis input.
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Control, Hadamard, Phase, _check_int
-from .qft import _qft_gates
-from .statevector import _check_width
+from .circuit import Circuit, Control, Phase, _check_int, _pattern_controls
+from .qft import _phase_frame
 from .turns import DyadicTurn, Turn
 
 __all__ = [
@@ -79,13 +79,12 @@ def build_phase_estimator(table: PhaseTable, m: int) -> Circuit:
     """
     n = table.num_input_qubits
     m = _check_int(m, "ancilla count", 1)
-    kickback = (
-        Phase(phase, n + l, tuple(Control(b, positive=bool((j >> b) & 1))
-                                  for b in range(n - 1, -1, -1)))
-        for l in range(m)
-        for j, phase in enumerate(diagonal_power(table, l).phases)
-        if not phase.is_zero())
-    return _kickback_frame(n, m, [("kickback", kickback)])
+    kickback = (Phase(phase, n + l, _pattern_controls(j, 0, n))
+                for l in range(m)
+                for j, phase in enumerate(diagonal_power(table, l).phases)
+                if not phase.is_zero())
+    ancillas = range(n, n + m)
+    return _phase_frame(n + m, ancillas, [("kickback", kickback)], ancillas)
 
 
 def analytic_outcome_probability(phi: Turn, m: int, j: int) -> float:
@@ -134,22 +133,6 @@ def build_qft_phase_estimator(n: int) -> Circuit:
                 Phase(DyadicTurn(1, n - l - k), k, (Control(n + l),))
                 for k in range(n - 1 - l, -1, -1)]
 
-    return _kickback_frame(n, n, powers())
+    ancillas = range(n, 2 * n)
+    return _phase_frame(2 * n, ancillas, powers(), ancillas)
 
-
-def _kickback_frame(n: int, m: int, kicks, *, readout: bool = True) -> Circuit:
-    """The phase-kickback mechanism shared by the counter and both
-    estimators, on n input qubits with m ancillas above them.
-
-    Hadamards put the ancillas in uniform superposition ("prep"), the
-    ``(label, gates)`` blocks of ``kicks`` write phases onto them, and
-    with ``readout`` an inverse QFT with swaps on the ancillas turns the
-    phase into a basis state.  The width is checked before any kick
-    gate is generated.
-    """
-    _check_width(n + m)
-    blocks = [("prep", [Hadamard(n + l) for l in range(m - 1, -1, -1)]),
-              *kicks]
-    if readout:
-        blocks.append(("readout", _qft_gates(m, offset=n, inverse=True)))
-    return Circuit.from_blocks(n + m, blocks)

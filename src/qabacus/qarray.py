@@ -5,21 +5,22 @@ p..p+m-1) and p data qubits (least significant, qubits 0..p-1), so
 basis index = j * 2**p + d.  Array length is always 2**m; shorter
 arrays are caller-padded with zeros.
 
-Creation writes every element's Fourier phases under index-pattern
-controls and finishes with an inverse QFT on the data part.  Updates
-move the data part into Fourier space, add a constant by phase
-rotations on the branches selected by an index predicate, and transform
-back - data wraps mod 2**p, the only behavior consistent with phase
-addition.
+Creation runs in ``qft``'s phase frame: Hadamards on every qubit, every
+element's Fourier phases under index-pattern controls, then an inverse
+QFT on the data part.  Updates move the data part into Fourier space,
+add a constant by phase rotations on the branches selected by an index
+predicate, and transform back - data wraps mod 2**p, the only behavior
+consistent with phase addition.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Control, Gate, Hadamard, Phase, _check_int
-from .encoding import encoding_phase_gates, fourier_phase
-from .qft import _qft_gates
+from .circuit import Circuit, Control, Gate, Phase, _check_int, \
+    _pattern_controls
+from .encoding import encoding_phase_gates
+from .qft import _phase_frame, _qft_gates, fourier_phase
 from .statevector import StateVector, _check_tolerance, _check_width, \
     apply_circuit, new_basis_state
 
@@ -115,30 +116,13 @@ def _check_contents(contents: ArrayContents, layout: ArrayLayout) -> None:
                 f"{layout.data_qubits} data qubits")
 
 
-def _index_controls(j: int, layout: ArrayLayout) -> tuple[Control, ...]:
-    p, m = layout.data_qubits, layout.index_qubits
-    return tuple(Control(p + b, positive=bool((j >> b) & 1))
-                 for b in range(m - 1, -1, -1))
-
-
 def _predicate_controls(predicate: IndexPredicate,
                         layout: ArrayLayout) -> tuple[Control, ...]:
     m, p = layout.index_qubits, layout.data_qubits
     if predicate.mask >> m:
         raise ValueError(
             f"predicate mask {predicate.mask:#b} exceeds {m} index qubits")
-    return tuple(Control(p + b, positive=bool((predicate.match >> b) & 1))
-                 for b in range(m - 1, -1, -1) if (predicate.mask >> b) & 1)
-
-
-def _create_frame(layout: ArrayLayout, encode: list[Gate]) -> Circuit:
-    """Shared by both creation builders: Hadamards on every qubit, the
-    ``encode`` phase gates, then the inverse QFT on the data part."""
-    return Circuit.from_blocks(layout.num_qubits, [
-        ("prep", [Hadamard(q) for q in range(layout.num_qubits - 1, -1, -1)]),
-        ("encode", encode),
-        ("readout", _qft_gates(layout.data_qubits, inverse=True)),
-    ])
+    return _pattern_controls(predicate.match, p, m, predicate.mask)
 
 
 def build_create(contents: ArrayContents, layout: ArrayLayout) -> Circuit:
@@ -160,7 +144,7 @@ def build_create(contents: ArrayContents, layout: ArrayLayout) -> Circuit:
         if common[l] is not None and not common[l].is_zero():
             gates.append(Phase(common[l], l))
     for j in range(layout.length):
-        controls = _index_controls(j, layout)
+        controls = _pattern_controls(j, p, layout.index_qubits)
         for l in range(p - 1, -1, -1):
             if common[l] is not None:
                 continue
@@ -168,7 +152,8 @@ def build_create(contents: ArrayContents, layout: ArrayLayout) -> Circuit:
             if turn.is_zero():
                 continue
             gates.append(Phase(turn, l, controls))
-    return _create_frame(layout, gates)
+    return _phase_frame(layout.num_qubits, range(layout.num_qubits),
+                        [("encode", gates)], range(layout.data_qubits))
 
 
 def arithmetic_contents(first: int, step: int,
@@ -199,7 +184,8 @@ def build_create_arithmetic(first: int, step: int,
         weight = (step << b) % (1 << p)
         gates.extend(encoding_phase_gates(weight, p,
                                           controls=(Control(p + b),)))
-    return _create_frame(layout, gates)
+    return _phase_frame(layout.num_qubits, range(layout.num_qubits),
+                        [("encode", gates)], range(layout.data_qubits))
 
 
 def build_update_add(addend: int, predicate: IndexPredicate,

@@ -1,4 +1,5 @@
-"""Quantum Fourier transform builders and the analytic Fourier state.
+"""The Fourier turn, the QFT builders, the analytic Fourier state and
+the phase frame every phase-writing builder shares.
 
 Convention: the forward transform maps |d> to
 ``2**(-n/2) * sum_k exp(+i*2*pi*k*d/2**n) |k>``.  The trailing swap
@@ -6,6 +7,12 @@ network is always included, so qubit ``l`` of the result carries
 the binary-fraction phase ``fourier_phase(d, l, n) = (d mod 2**(n-l)) /
 2**(n-l)`` turns and a plain bit-ordered readout recovers ``d`` after
 the inverse transform.
+
+The paper's mechanism is one frame around that transform: Hadamards
+prepare a register, blocks of phase gates write turns onto it, and an
+inverse QFT reads the phase out as a basis state.  ``_phase_frame``
+builds it for the counter, both phase estimators, the encoder and both
+array creators.
 """
 
 import numpy as np
@@ -14,7 +21,19 @@ from .circuit import Circuit, Control, Gate, Hadamard, Phase, Swap, _check_int
 from .statevector import StateVector, _check_width
 from .turns import DyadicTurn
 
-__all__ = ["build_qft", "build_inverse_qft", "analytic_fourier_state"]
+__all__ = [
+    "fourier_phase", "build_qft", "build_inverse_qft", "analytic_fourier_state",
+]
+
+
+def fourier_phase(d: int, l: int, n: int) -> DyadicTurn:
+    """Turn carried by qubit l of the Fourier image of |d> on n qubits:
+    (d mod 2**(n-l)) / 2**(n-l), exact."""
+    n = _check_int(n, "register width", 1)
+    l = _check_int(l, "qubit index", 0, n)
+    d = _check_int(d, "value", 0, 1 << n)
+    width = n - l
+    return DyadicTurn(d % (1 << width), width)
 
 
 def _qft_gates(n: int, offset: int = 0, *,
@@ -63,8 +82,23 @@ def analytic_fourier_state(d: int, n: int) -> StateVector:
     idx = np.arange(1 << n)
     turns = np.zeros(1 << n)
     for b in range(n):
-        width = n - b
-        turn = (d % (1 << width)) / (1 << width)  # exact: dyadic
-        turns = turns + ((idx >> b) & 1) * turn
+        turns = turns + ((idx >> b) & 1) * fourier_phase(d, b, n).value
     amps = np.exp(2j * np.pi * turns) * (2.0 ** (-n / 2.0))
     return StateVector(n, amps)
+
+
+def _phase_frame(width: int, prepared: range, kicks,
+                 readout: range | None = None) -> Circuit:
+    """The prepare, write-phases, read-out frame on ``width`` qubits.
+
+    A ``"prep"`` block of Hadamards on the ``prepared`` qubits, most
+    significant first; the ``(label, gates)`` blocks of ``kicks``; and,
+    given ``readout``, a ``"readout"`` inverse QFT with swaps on those
+    qubits.  The width is checked before any kick gate is generated.
+    """
+    width = _check_width(width)
+    blocks = [("prep", [Hadamard(q) for q in reversed(prepared)]), *kicks]
+    if readout is not None:
+        blocks.append(("readout", _qft_gates(len(readout), readout.start,
+                                             inverse=True)))
+    return Circuit.from_blocks(width, blocks)

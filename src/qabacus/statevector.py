@@ -9,8 +9,9 @@ numpy array itself.  The basis form is a basis index and the one
 unit-modulus amplitude it carries: ``new_basis_state`` makes it, and
 ``apply_circuit`` keeps it for every circuit that ``tracking.track``
 runs exactly, so the counter, the phase estimators and encode-then-decode
-go from input to readout without a ``2**n`` array.  The dense array of
-a basis-form state is built on the first read of ``amplitudes``.
+go from input to readout without a ``2**n`` array.  A dense input stays
+dense, even when it holds a single basis state.  The dense array of a
+basis-form state is built on the first read of ``amplitudes``.
 
 Kernels work on ``(2,)*n`` reshaped views of the dense form, which keeps
 every gate application a handful of vectorized slice operations.
@@ -182,46 +183,29 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return apply_circuit(state, Circuit(state.num_qubits, (gate,)))
 
 
-def _apply_tracked(state: StateVector, circuit: Circuit) -> StateVector | None:
-    """The circuit run as exact dyadic bookkeeping, in basis form, or
-    None if the state is not a basis state or the circuit leaves
-    basis-in, basis-out form."""
-    basis = state._basis
-    if basis is None:
-        # One scan: a basis state has at most two nonzero parts (re and
-        # im), both of the same amplitude.
-        nonzero = state.amplitudes.view(np.float64) != 0.0
-        if np.count_nonzero(nonzero) > 2:
-            return None
-        parts = np.flatnonzero(nonzero) >> 1
-        index = int(parts[0])
-        if parts[-1] != index:
-            return None
-        basis = _Basis(index, complex(state.amplitudes[index]))
-    try:
-        out, phase = track(circuit, basis.index)
-    except NotRepresentable:
-        return None
-    return StateVector(state.num_qubits,
-                       _Basis(out, basis.amp * phase.phase_factor()))
-
-
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """The state after every gate of the circuit, in order.
 
-    A basis-state input runs first as exact dyadic phase bookkeeping
-    (``tracking.track``); its single nonzero amplitude picks up the
-    tracked global phase at the output basis index, and the result is in
-    basis form.  Any other input, or a circuit the bookkeeping cannot
+    A basis-form input (``new_basis_state`` or an earlier tracked run)
+    runs first as exact dyadic phase bookkeeping (``tracking.track``):
+    its amplitude picks up the tracked global phase at the output basis
+    index, and the result is in basis form.  A dense input, even one that
+    holds a single basis state, or a circuit the bookkeeping cannot
     represent, runs gate by gate on a copy of the dense amplitudes.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit width {circuit.num_qubits} != state width "
             f"{state.num_qubits}")
-    tracked = _apply_tracked(state, circuit)
-    if tracked is not None:
-        return tracked
+    basis = state._basis
+    if basis is not None:
+        try:
+            out, phase = track(circuit, basis.index)
+        except NotRepresentable:
+            pass
+        else:
+            return StateVector(state.num_qubits,
+                               _Basis(out, basis.amp * phase.phase_factor()))
     amps = state.amplitudes.copy()
     for gate in circuit.gates:
         _apply_gate_inplace(amps, state.num_qubits, gate)

@@ -14,8 +14,8 @@ from qabacus import (
     build_create_arithmetic, build_inverse_qft, build_phase_estimator,
     build_qft, build_qft_phase_estimator, build_update_add,
     count_phase_table, deterministic_outcome, diagonal_power,
-    encode_signed, fourier_phase, is_zero_failure, new_basis_state, parse,
-    qft_phase_table, sample_outcomes, serialize,
+    encode_signed, encoding_phase_gates, fourier_phase, is_zero_failure,
+    new_basis_state, parse, qft_phase_table, sample_outcomes, serialize,
 )
 from qabacus.circuit import Phase
 from qabacus.turns import DyadicTurn
@@ -52,6 +52,10 @@ CASES = [
      None),
     ("fourier_phase.n", lambda v: fourier_phase(1, 0, v), "register width", 3,
      0, None),
+    ("encoding_phase_gates.num_qubits", lambda v: encoding_phase_gates(5, v),
+     "register width", 3, 0, None),
+    ("encoding_phase_gates.value", lambda v: encoding_phase_gates(v, 3),
+     "value", 5, 8, None),
     ("encode_signed.value", lambda v: encode_signed(v, 3), "signed value", 3,
      4, None),
     ("encode_signed.n", lambda v: encode_signed(-1, v), "register width", 3,

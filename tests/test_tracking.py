@@ -111,10 +111,9 @@ def _check_against_reference(circuit, basis, amplitude, dense_gates) -> bool:
     """apply_circuit on amplitude*|basis> equals the reference column;
     returns whether the run was tracked (no dense gate applied)."""
     n = circuit.num_qubits
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[basis] = amplitude
     before = len(dense_gates)
-    out = apply_circuit(StateVector(n, amps), circuit)
+    out = apply_circuit(StateVector(n, statevector._Basis(basis, amplitude)),
+                        circuit)
     expected = ref_circuit_matrix(circuit)[:, basis] * amplitude
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
     tracked = len(dense_gates) == before
@@ -204,6 +203,20 @@ def test_non_basis_input_goes_dense(dense_gates):
     expected = ref_circuit_matrix(circuit) @ state.amplitudes
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-15
     assert len(dense_gates) == 2
+
+
+def test_dense_basis_input_stays_dense(dense_gates):
+    # Only the basis form is tracked: a dense array holding one basis
+    # state runs every gate on the dense kernel and comes back dense.
+    circuit = build_counter(3)
+    basis, amplitude = 0b101, cmath.exp(0.3j)
+    amps = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
+    amps[basis] = amplitude
+    out = apply_circuit(StateVector(circuit.num_qubits, amps), circuit)
+    assert dense_gates == list(circuit.gates)
+    expected = ref_circuit_matrix(circuit)[:, basis] * amplitude
+    assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+    assert out._basis is None
 
 
 def test_counter_runs_tracked_at_16_bits(no_dense):
