@@ -4,10 +4,12 @@ Runs ``python3 qbench/run.py --workload W --seed S --seconds T --trace 0``
 unedited, in the checkout ``--root`` (by default the repository this
 script sits in), for each workload named in that checkout's
 BENCHMARK.json and each seed in ``SEEDS``; ``T`` is that file's
-``run_seconds``.  Each run's last standard-output line (the
-benchmark's JSON result) is kept verbatim, one entry per run; nothing is
-averaged.  The file also records the command, the CPU count, Python,
-numpy and the checkout's git sha.
+``run_seconds``.  After these timed runs it runs the same command once
+per workload with ``--trace 1`` at the first seed, whose per-layer
+metrics (gate counts, self times) go in ``traced``.  Each run's last
+standard-output line (the benchmark's JSON result) is kept verbatim,
+one entry per run; nothing is averaged.  The file also records the
+commands, the CPU count, Python, numpy and the checkout's git sha.
 
     python3 scripts/bench_snapshot.py --tag after
     python3 scripts/bench_snapshot.py --tag before --root ../parent
@@ -61,22 +63,29 @@ def main(argv=None) -> int:
     seconds = str(spec["run_seconds"])
     out = REPO / f"BENCH_{args.tag}.json"
 
-    runs = []
-    for workload in [w["name"] for w in spec["workloads"]]:
-        for seed in SEEDS:
-            cmd = COMMAND + ["--workload", workload, "--seed", str(seed),
-                             "--seconds", seconds, "--trace", "0"]
-            print(" ".join(cmd), file=sys.stderr, flush=True)
-            last = _run(cmd, root).rstrip("\n").rsplit("\n", 1)[-1]
-            runs.append({"workload": workload, "seed": seed, "last_line": last})
+    workloads = [w["name"] for w in spec["workloads"]]
+
+    def run(workload: str, seed: int, trace: str) -> dict:
+        cmd = COMMAND + ["--workload", workload, "--seed", str(seed),
+                         "--seconds", seconds, "--trace", trace]
+        print(" ".join(cmd), file=sys.stderr, flush=True)
+        last = _run(cmd, root).rstrip("\n").rsplit("\n", 1)[-1]
+        return {"workload": workload, "seed": seed, "last_line": last}
+
+    runs = [run(w, seed, "0") for w in workloads for seed in SEEDS]
+    traced = [run(w, SEEDS[0], "1") for w in workloads]
 
     snapshot = {
         "tag": args.tag,
         "command": COMMAND + ["--workload", "W", "--seed", "S", "--seconds",
                               seconds, "--trace", "0"],
+        "traced_command": COMMAND + ["--workload", "W", "--seed",
+                                     str(SEEDS[0]), "--seconds", seconds,
+                                     "--trace", "1"],
         "seeds": list(SEEDS),
         "host": _host(root),
         "runs": runs,
+        "traced": traced,
     }
     out.write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)

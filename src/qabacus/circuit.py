@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Union
 
-from .turns import Turn, format_turn, parse_turn
+from .turns import Turn, _int_from_text, format_turn, parse_turn
 
 __all__ = [
     "Control", "Hadamard", "X", "Phase", "Swap", "Gate", "Circuit",
@@ -286,13 +286,6 @@ def serialize(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(token: str, line: int, role: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line, f"{role} is not an integer: {token!r}") from None
-
-
 def parse(text: str) -> Circuit:
     """Parse the serialize() format back into a Circuit.
 
@@ -315,7 +308,10 @@ def parse(text: str) -> Circuit:
                 raise ParseError(lineno, "expected 'qubits N' header before gates")
             if len(tokens) != 2:
                 raise ParseError(lineno, "qubits header takes one argument")
-            num_qubits = _parse_int(tokens[1], lineno, "qubit count")
+            try:
+                num_qubits = _int_from_text(tokens[1], "qubit count")
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from None
             if num_qubits < 1:
                 raise ParseError(lineno, f"qubit count must be >= 1, got {num_qubits}")
             continue
@@ -340,7 +336,7 @@ def _parse_gate(kind: str, tokens: list[str], lineno: int) -> Gate:
         cls, arity, wording = _PLAIN_GATES[kind]
         if len(tokens) != arity + 1:
             raise ParseError(lineno, f"{kind} takes {wording}")
-        return cls(*(_parse_int(t, lineno, "qubit") for t in tokens[1:]))
+        return cls(*(_int_from_text(t, "qubit") for t in tokens[1:]))
     if kind == "P":
         if "->" not in tokens:
             raise ParseError(lineno, "P line is missing '->'")
@@ -352,8 +348,8 @@ def _parse_gate(kind: str, tokens: list[str], lineno: int) -> Gate:
         for tok in tokens[2:arrow]:
             if not tok or tok[0] not in "+-":
                 raise ParseError(lineno, f"control must start with + or -: {tok!r}")
-            controls.append(Control(_parse_int(tok[1:], lineno, "control qubit"),
+            controls.append(Control(_int_from_text(tok[1:], "control qubit"),
                                     positive=tok[0] == "+"))
-        target = _parse_int(tokens[arrow + 1], lineno, "target")
+        target = _int_from_text(tokens[arrow + 1], "target")
         return Phase(turn, target, tuple(controls))
     raise ParseError(lineno, f"unknown gate kind {kind!r}")

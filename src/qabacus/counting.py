@@ -1,8 +1,9 @@
 """Deterministic counting of 1s (or 0s) in a qubit register.
 
-Each input qubit in the counted state nudges every ancilla by a fixed
-phase increment, like tokens on abacus rods; an inverse QFT then turns
-the accumulated phase into the binary count.  The counting stage uses
+Each input qubit in the counted state adds 1 to the ancilla register
+in Fourier space, like a token moved on an abacus rod: one ``qft``
+Fourier-adder layer under a control on that input.  An inverse QFT then
+turns the accumulated phase into the binary count.  The counting stage uses
 exactly n*m two-qubit controlled phases for n inputs and m ancillas,
 which is the O(n log n) gate bound.
 
@@ -15,9 +16,9 @@ always an exact m-bit dyadic.
 import enum
 import operator
 
-from .circuit import Circuit, Control, Phase, _check_int
+from .circuit import Circuit, Control, _check_int
 from .phase_estimation import PhaseTable
-from .qft import _phase_frame
+from .qft import _fourier_add, _phase_frame
 from .statevector import apply_circuit, deterministic_outcome, new_basis_state
 from .turns import DyadicTurn
 
@@ -76,10 +77,9 @@ def _counting_circuit(n: int, target: CountTarget, allow_wraparound: bool, *,
     _check_target(target)
     m = ancilla_width(n, allow_wraparound=allow_wraparound)
     positive = target is CountTarget.ONES
-    count = (Phase(DyadicTurn(1, m - l), n + l,
-                   (Control(k, positive=positive),))
-             for k in range(n) for l in range(m - 1, -1, -1))
     ancillas = range(n, n + m)
+    count = (gate for k in range(n)
+             for gate in _fourier_add(1, ancillas, (Control(k, positive),)))
     return _phase_frame(n + m, ancillas, [("count", count)],
                         ancillas if readout else None)
 

@@ -4,13 +4,15 @@ An integer d fits on an n-qubit register as the Fourier image of |d>:
 after a Hadamard layer, qubit l is rotated by the binary-fraction turn
 ``fourier_phase(d, l, n)``, which ``qft`` defines and this module
 re-exports.  No controlled gates are involved, so the data lives purely
-in phases and amplitude magnitudes stay flat at 2**(-n/2).  The encoder
+in phases and amplitude magnitudes stay flat at 2**(-n/2).  That layer
+is ``qft``'s Fourier adder applied to the zero register, and
+``encoding_phase_gates`` is the adder's checked public face.  The encoder
 is the shared phase frame without a readout; decoding is the inverse QFT
 with swaps followed by a deterministic readout.
 """
 
-from .circuit import Circuit, Control, Gate, Phase, _check_int
-from .qft import _phase_frame, build_inverse_qft, fourier_phase
+from .circuit import Circuit, Control, Gate, _check_int
+from .qft import _fourier_add, _phase_frame, build_inverse_qft, fourier_phase
 from .statevector import StateVector, _check_width, apply_circuit, \
     deterministic_outcome, new_basis_state
 
@@ -33,9 +35,7 @@ def encoding_phase_gates(value: int, num_qubits: int, *,
     """
     num_qubits = _check_int(num_qubits, "register width", 1)
     value = _check_int(value, "value", 0, 1 << num_qubits)
-    return tuple(
-        Phase(fourier_phase(value, l, num_qubits), l, controls)
-        for l in range(num_qubits - 1, -1, -1))
+    return _fourier_add(value, range(num_qubits), controls)
 
 
 def build_encoder(d: int, n: int) -> Circuit:

@@ -9,14 +9,16 @@ Hadamards on the ancillas, the kicks, then an inverse QFT with swaps on
 the ancillas that reads the estimate out.
 
 When every eigenphase is an m-bit dyadic, the readout is exact: the
-estimator is deterministic for every basis input.
+estimator is deterministic for every basis input.  The QFT estimator's
+controlled power 2**l is one ``qft`` Fourier-adder layer: it adds 1 to
+the low n - l input qubits in Fourier space under ancilla l.
 """
 
 import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, Control, Phase, _check_int, _pattern_controls
-from .qft import _phase_frame
+from .qft import _fourier_add, _phase_frame
 from .turns import DyadicTurn, Turn
 
 __all__ = [
@@ -126,13 +128,8 @@ def build_qft_phase_estimator(n: int) -> Circuit:
     deterministic readout is j, and the input register is untouched.
     """
     n = _check_int(n, "n", 1)
-
-    def powers():
-        for l in range(n - 1, -1, -1):
-            yield f"power 2^{l}", [
-                Phase(DyadicTurn(1, n - l - k), k, (Control(n + l),))
-                for k in range(n - 1 - l, -1, -1)]
-
+    powers = ((f"power 2^{l}", _fourier_add(1, range(n - l), (Control(n + l),)))
+              for l in range(n - 1, -1, -1))
     ancillas = range(n, 2 * n)
-    return _phase_frame(2 * n, ancillas, powers(), ancillas)
+    return _phase_frame(2 * n, ancillas, powers, ancillas)
 

@@ -5,22 +5,20 @@ p..p+m-1) and p data qubits (least significant, qubits 0..p-1), so
 basis index = j * 2**p + d.  Array length is always 2**m; shorter
 arrays are caller-padded with zeros.
 
-Creation runs in ``qft``'s phase frame: Hadamards on every qubit, every
-element's Fourier phases under index-pattern controls, then an inverse
-QFT on the data part.  Updates move the data part into Fourier space,
-add a constant by phase rotations on the branches selected by an index
-predicate, and transform back - data wraps mod 2**p, the only behavior
-consistent with phase addition.
+Creation runs in ``qft``'s phase frame: Hadamards on every qubit, one
+Fourier-adder layer per element under its index-pattern controls, then
+an inverse QFT on the data part.  Updates move the data part into
+Fourier space, add a constant with one adder layer under the index
+predicate's controls, and transform back - data wraps mod 2**p, the
+only behavior consistent with phase addition.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Control, Gate, Phase, _check_int, \
-    _pattern_controls
-from .encoding import encoding_phase_gates
-from .qft import _phase_frame, _qft_gates, fourier_phase
+from .circuit import Circuit, Control, Phase, _check_int, _pattern_controls
+from .qft import _fourier_add, _phase_frame, _qft_gates
 from .statevector import StateVector, _check_tolerance, _check_width, \
     apply_circuit, new_basis_state
 
@@ -129,31 +127,27 @@ def build_create(contents: ArrayContents, layout: ArrayLayout) -> Circuit:
     """Creation circuit: applied to |0...0> it yields
     2**(-m/2) * sum_j |j, values[j]> within 1e-10.
 
-    A data level whose turn is shared by all indices is emitted once as
-    an uncontrolled gate.  Each other (index pattern, data level) pair
-    with a nonzero turn becomes one multi-controlled phase gate -
-    exponential in m but exact.
+    Each index pattern j gets the adder layer for values[j] under its
+    pattern controls.  A data level whose turn is shared by all indices
+    is emitted once as an uncontrolled gate, and zero turns are dropped;
+    every other gate is multi-controlled - exponential in m but exact.
     """
     _check_contents(contents, layout)
-    p = layout.data_qubits
-    gates: list[Gate] = []
-    turns = [[fourier_phase(v, l, p) for l in range(p)] for v in contents.values]
-    common = [turns[0][l] if all(row[l] == turns[0][l] for row in turns) else None
-              for l in range(p)]
-    for l in range(p - 1, -1, -1):
-        if common[l] is not None and not common[l].is_zero():
-            gates.append(Phase(common[l], l))
-    for j in range(layout.length):
-        controls = _pattern_controls(j, p, layout.index_qubits)
-        for l in range(p - 1, -1, -1):
-            if common[l] is not None:
-                continue
-            turn = turns[j][l]
-            if turn.is_zero():
-                continue
-            gates.append(Phase(turn, l, controls))
+    p, data = layout.data_qubits, range(layout.data_qubits)
+    layers = [_fourier_add(v, data, _pattern_controls(j, p, layout.index_qubits))
+              for j, v in enumerate(contents.values)]
+    shared = [all(g.turn == column[0].turn for g in column)
+              for column in zip(*layers)]
+
+    def written(layer, hoisted: bool) -> list[Phase]:
+        return [g for g, s in zip(layer, shared)
+                if s == hoisted and not g.turn.is_zero()]
+
+    gates = written(_fourier_add(contents.values[0], data), True)
+    for layer in layers:
+        gates += written(layer, False)
     return _phase_frame(layout.num_qubits, range(layout.num_qubits),
-                        [("encode", gates)], range(layout.data_qubits))
+                        [("encode", gates)], data)
 
 
 def arithmetic_contents(first: int, step: int,
@@ -179,13 +173,12 @@ def build_create_arithmetic(first: int, step: int,
     m, p = layout.index_qubits, layout.data_qubits
     first = _check_int(first, "first", 0, 1 << p)
     step = _check_int(step, "step", 0, 1 << p)
-    gates = list(encoding_phase_gates(first, p))
+    data = range(p)
+    gates = list(_fourier_add(first, data))
     for b in range(m):
-        weight = (step << b) % (1 << p)
-        gates.extend(encoding_phase_gates(weight, p,
-                                          controls=(Control(p + b),)))
+        gates += _fourier_add((step << b) % (1 << p), data, (Control(p + b),))
     return _phase_frame(layout.num_qubits, range(layout.num_qubits),
-                        [("encode", gates)], range(layout.data_qubits))
+                        [("encode", gates)], data)
 
 
 def build_update_add(addend: int, predicate: IndexPredicate,
@@ -202,7 +195,7 @@ def build_update_add(addend: int, predicate: IndexPredicate,
     controls = _predicate_controls(predicate, layout)
     return Circuit.from_blocks(layout.num_qubits, [
         ("to-fourier", _qft_gates(p)),
-        ("add", encoding_phase_gates(addend, p, controls=controls)),
+        ("add", _fourier_add(addend, range(p), controls)),
         ("from-fourier", _qft_gates(p, inverse=True)),
     ])
 

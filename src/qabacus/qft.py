@@ -1,5 +1,5 @@
-"""The Fourier turn, the QFT builders, the analytic Fourier state and
-the phase frame every phase-writing builder shares.
+"""The Fourier turn, the QFT builders, the analytic Fourier state, the
+Fourier adder and the phase frame every phase-writing builder shares.
 
 Convention: the forward transform maps |d> to
 ``2**(-n/2) * sum_k exp(+i*2*pi*k*d/2**n) |k>``.  The trailing swap
@@ -13,6 +13,12 @@ prepare a register, blocks of phase gates write turns onto it, and an
 inverse QFT reads the phase out as a basis state.  ``_phase_frame``
 builds it for the counter, both phase estimators, the encoder and both
 array creators.
+
+Adding a value to a register held in Fourier space is one layer of
+phase gates (Draper's QFT adder): ``_fourier_add`` writes it, and it is
+the only code that does.  The counter's per-input kicks, the QFT
+estimator's powers, the encoder and the array creators and updater are
+all such layers, optionally under controls.
 """
 
 import numpy as np
@@ -32,8 +38,28 @@ def fourier_phase(d: int, l: int, n: int) -> DyadicTurn:
     n = _check_int(n, "register width", 1)
     l = _check_int(l, "qubit index", 0, n)
     d = _check_int(d, "value", 0, 1 << n)
-    width = n - l
+    return _fourier_turn(d, n - l)
+
+
+def _fourier_turn(d: int, width: int) -> DyadicTurn:
+    """``fourier_phase`` without its checks: (d mod 2**width) / 2**width,
+    the turn of the qubit with ``width - 1`` qubits above it."""
     return DyadicTurn(d % (1 << width), width)
+
+
+def _fourier_add(value: int, register: range,
+                 controls: tuple[Control, ...] = ()) -> tuple[Phase, ...]:
+    """The layer adding ``value`` to the Fourier-space ``register``.
+
+    Qubit ``register.start + l`` gets ``fourier_phase(value, l,
+    len(register))``, most significant first, each gate under
+    ``controls``.  Layers compose additively: the layers for a and b
+    stacked equal the layer for (a + b) mod 2**len(register).  Every
+    caller has checked ``value`` against the register width.
+    """
+    width = len(register)
+    return tuple(Phase(_fourier_turn(value, width - l), register.start + l,
+                       controls) for l in range(width - 1, -1, -1))
 
 
 def _qft_gates(n: int, offset: int = 0, *,

@@ -150,15 +150,28 @@ def format_turn(turn: Turn) -> str:
     return repr(turn.value)
 
 
+def _int_from_text(token: str, role: str) -> int:
+    """The integer an ASCII ``-?[0-9]+`` token writes, which is every
+    integer text ``serialize`` makes; ValueError naming ``role`` else."""
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isdigit() and digits.isascii():
+        return int(token)
+    raise ValueError(f"{role} is not an integer: {token!r}")
+
+
 def parse_turn(token: str) -> Turn:
-    """Inverse of format_turn.  Raises ValueError on malformed input."""
+    """Inverse of format_turn.  Raises ValueError on malformed input,
+    including integers or floats that format_turn never writes (signs
+    other than a leading '-', '_' separators, non-ASCII digits)."""
     if "/" in token:
         num_text, _, den_text = token.partition("/")
-        num = int(num_text)
-        den = int(den_text)
+        num = _int_from_text(num_text, "numerator")
+        den = _int_from_text(den_text, "denominator")
         if den <= 0 or den & (den - 1):
             raise ValueError(f"denominator must be a power of two, got {den}")
         if num < 0:
             raise ValueError(f"numerator must be >= 0, got {num}")
         return DyadicTurn(num, den.bit_length() - 1)
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"turn is not a number: {token!r}")
     return Turn(float(token))

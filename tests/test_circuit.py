@@ -160,6 +160,25 @@ def test_parse_errors_carry_line_numbers():
      "P line must look like 'P <turn> [±q ...] -> <q>'"),
     ("qubits 4\nP 1/2 3 -> 0\n", 2, "control must start with + or -: '3'"),
     ("qubits 0\n", 1, "qubit count must be >= 1, got 0"),
+    # Every integer field is ASCII -?[0-9]+, as serialize writes it.
+    ("qubits 2\nP 1/4 +0 -> +1\n", 2, "target is not an integer: '+1'"),
+    ("qubits 2\nP 1/4 ++0 -> 1\n", 2, "control qubit is not an integer: '+0'"),
+    ("qubits 2\nP 1/4 -+0 -> 1\n", 2, "control qubit is not an integer: '+0'"),
+    ("qubits +2\n", 1, "qubit count is not an integer: '+2'"),
+    ("qubits \u0662\n", 1, "qubit count is not an integer: '\u0662'"),
+    ("qubits 2\nH \u0661\n", 2, "qubit is not an integer: '\u0661'"),
+    ("qubits 2\nP 1_0/1_6 -> 1\n", 2, "numerator is not an integer: '1_0'"),
+    ("qubits 2\nP +1/+4 -> 1\n", 2, "numerator is not an integer: '+1'"),
+    ("qubits 2\nP 1/+4 -> 1\n", 2, "denominator is not an integer: '+4'"),
+    ("qubits 2\nP x/4 -> 0\n", 2, "numerator is not an integer: 'x'"),
+    ("qubits 2\nP 0.2_5 -> 1\n", 2, "turn is not a number: '0.2_5'"),
+    ("qubits 2\nP \u0660.\u0665 -> 1\n", 2,
+     "turn is not a number: '\u0660.\u0665'"),
+    # Negatives still reach the range texts.
+    ("qubits 2\nH -1\n", 2, "target out of range: must be >= 0, got -1"),
+    ("qubits 2\nP 1/4 +-1 -> 0\n", 2,
+     "control qubit out of range: must be >= 0, got -1"),
+    ("qubits -2\n", 1, "qubit count must be >= 1, got -2"),
 ])
 def test_parse_error_texts(text, line, reason):
     with pytest.raises(ParseError) as err:

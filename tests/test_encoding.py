@@ -8,6 +8,8 @@ from qabacus import (
     encode_signed, encode_value, encoding_phase_gates, fourier_phase,
     gate_count_report, new_basis_state,
 )
+from qabacus import Control, statevector
+from qabacus.qft import _fourier_add, _qft_gates
 from qabacus.reference import ref_dft_state
 from qabacus.turns import DyadicTurn
 
@@ -104,6 +106,36 @@ def test_phase_layers_add_values():
             Circuit(n, encoding_phase_gates(b, n)))
         want = encode_value((a + b) % (1 << n), n)
         assert max_amp_diff(layered, want) <= 1e-12
+    # The same contract at an offset, the second layer under a control:
+    # H on the register, the layer for a, the controlled layer for b and
+    # the inverse QFT take a basis input to |(a + b) mod 2**w> on the
+    # register where the control matches and to |a> where it does not,
+    # leave every other qubit as it was and apply no dense gate.
+    width, dense = 7, []
+    kernel = statevector._apply_gate_inplace
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "_apply_gate_inplace",
+                      lambda amps, n, gate: dense.append(gate)
+                      or kernel(amps, n, gate))
+        for start, w, control, a, b in (
+                (2, 3, Control(0), 5, 6), (1, 4, Control(6, False), 9, 12),
+                (3, 2, Control(1), 3, 3), (4, 3, Control(0, False), 7, 1),
+                (5, 2, Control(4, False), 0, 3)):
+            register = range(start, start + w)
+            circuit = Circuit(width, (
+                *(Hadamard(q) for q in register), *_fourier_add(a, register),
+                *_fourier_add(b, register, (control,)),
+                *_qft_gates(w, start, inverse=True)))
+            others = [q for q in range(width) if q not in register]
+            for bits in range(1 << len(others)):
+                basis = sum((bits >> i & 1) << q for i, q in enumerate(others))
+                matches = (basis >> control.qubit & 1) == control.positive
+                value = (a + b) % (1 << w) if matches else a
+                out = apply_circuit(new_basis_state(width, basis), circuit)
+                want = np.zeros(1 << width)
+                want[basis | value << start] = 1.0
+                assert np.max(np.abs(out.amplitudes - want)) <= 1e-12
+    assert dense == []
 
 
 def test_signed_wrappers():

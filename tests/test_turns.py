@@ -82,6 +82,20 @@ def test_format_and_parse():
         parse_turn("-1/4")
     with pytest.raises(ValueError):
         parse_turn("banana")
+    # Only the ASCII texts format_turn writes parse.
+    for token, reason in (
+            ("1_0/1_6", "numerator is not an integer: '1_0'"),
+            ("+1/4", "numerator is not an integer: '+1'"),
+            ("1/+4", "denominator is not an integer: '+4'"),
+            ("x/4", "numerator is not an integer: 'x'"),
+            ("1/\u0664", "denominator is not an integer: '\u0664'"),
+            ("0.2_5", "turn is not a number: '0.2_5'"),
+            ("\u0660.\u0665", "turn is not a number: '\u0660.\u0665'")):
+        with pytest.raises(ValueError) as err:
+            parse_turn(token)
+        assert str(err.value) == reason
+    for turn in (DyadicTurn(3, 52), Turn(1e-05), Turn(5e-324), Turn(0.1)):
+        assert parse_turn(format_turn(turn)) == turn
 
 
 def test_non_finite_turns_rejected():
