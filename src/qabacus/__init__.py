@@ -1,5 +1,13 @@
 """qabacus: phase-based counting, integer encoding and quantum arrays
-on a dense state-vector simulator."""
+on a dense state-vector simulator.
+
+numpy is needed only on the dense path and is imported there, on first
+use.  Importing the package, ``run_count``, both phase estimators run
+on a ``new_basis_state`` input, ``serialize``/``parse`` and the
+``qabacus count`` and ``qabacus circuit print`` commands never import
+it; ``qabacus encode``, the ``array`` commands, ``create_state``,
+``read_all``, ``analytic_fourier_state``, marginals and sampling do.
+"""
 
 from .circuit import (
     Circuit, Control, Gate, Hadamard, ParseError, Phase, Swap, X,

@@ -12,11 +12,8 @@ import itertools
 import json
 import os
 import sys
-import zipfile
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
-
-import numpy as np
 
 from .circuit import Circuit, ParseError, gate_count_report, serialize
 from .counting import CountTarget, _check_bits, _read_count, build_counter
@@ -99,12 +96,13 @@ def _parse_values(text: str) -> ArrayContents:
 
 def _dump_state_rows(state: StateVector) -> Iterator[str]:
     probs = state.probabilities()
-    for i in np.flatnonzero(probs > 1e-12):
+    for i in (probs > 1e-12).nonzero()[0]:
         a = state.amplitudes[i]
         yield f"{i:0{state.num_qubits}b} {a.real:.10e} {a.imag:.10e} {probs[i]:.10e}\n"
 
 
 def _save_state(path: str, layout: ArrayLayout, state: StateVector) -> None:
+    import numpy as np
     # Write a sibling file and rename it over the old one, so a failed
     # write never leaves a half-written state file behind.  np.savez gets
     # the open handle: given a path, it would append ".npz" to the name.
@@ -130,6 +128,9 @@ def _layout_field(payload, key: str) -> int:
 
 
 def _load_state(path: str) -> tuple[ArrayLayout, StateVector]:
+    import zipfile
+
+    import numpy as np
     try:
         fh = open(path, "rb")
     except FileNotFoundError:

@@ -15,10 +15,8 @@ only behavior consistent with phase addition.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import Circuit, Control, Phase, _check_int, _pattern_controls
-from .qft import _fourier_add, _phase_frame, _qft_gates
+from .qft import _fourier_add, _fourier_turn, _phase_frame, _qft_gates
 from .statevector import StateVector, _check_tolerance, _check_width, \
     apply_circuit, new_basis_state
 
@@ -131,23 +129,26 @@ def build_create(contents: ArrayContents, layout: ArrayLayout) -> Circuit:
     pattern controls.  A data level whose turn is shared by all indices
     is emitted once as an uncontrolled gate, and zero turns are dropped;
     every other gate is multi-controlled - exponential in m but exact.
+    Shared and zero levels are found from the integer residues, so only
+    the gates the circuit keeps are built.
     """
     _check_contents(contents, layout)
-    p, data = layout.data_qubits, range(layout.data_qubits)
-    layers = [_fourier_add(v, data, _pattern_controls(j, p, layout.index_qubits))
-              for j, v in enumerate(contents.values)]
-    shared = [all(g.turn == column[0].turn for g in column)
-              for column in zip(*layers)]
+    m, p, values = layout.index_qubits, layout.data_qubits, contents.values
+    # Qubit l of the adder layer for v turns by (v mod 2**(p-l)) / 2**(p-l),
+    # so that residue alone says whether a level is shared or zero.
+    levels = range(p - 1, -1, -1)
+    shared = {l for l in levels
+              if len({v % (1 << (p - l)) for v in values}) == 1}
 
-    def written(layer, hoisted: bool) -> list[Phase]:
-        return [g for g, s in zip(layer, shared)
-                if s == hoisted and not g.turn.is_zero()]
+    def written(v: int, controls: tuple, hoisted: bool) -> list[Phase]:
+        return [Phase(_fourier_turn(v, p - l), l, controls) for l in levels
+                if (l in shared) == hoisted and v % (1 << (p - l))]
 
-    gates = written(_fourier_add(contents.values[0], data), True)
-    for layer in layers:
-        gates += written(layer, False)
+    gates = written(values[0], (), True)
+    for j, v in enumerate(values):
+        gates += written(v, _pattern_controls(j, p, m), False)
     return _phase_frame(layout.num_qubits, range(layout.num_qubits),
-                        [("encode", gates)], data)
+                        [("encode", gates)], range(p))
 
 
 def arithmetic_contents(first: int, step: int,
@@ -225,7 +226,7 @@ def read_all(state: StateVector, layout: ArrayLayout,
     peak = rows.max(axis=1)
     light = mass < 0.5 / layout.length
     # The first offending index raises; its mass is checked before its peak.
-    bad = np.flatnonzero(light | (peak < (1.0 - tolerance) * mass))
+    bad = (light | (peak < (1.0 - tolerance) * mass)).nonzero()[0]
     if bad.size:
         j = bad[0]
         if light[j]:

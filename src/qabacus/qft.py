@@ -15,13 +15,13 @@ builds it for the counter, both phase estimators, the encoder and both
 array creators.
 
 Adding a value to a register held in Fourier space is one layer of
-phase gates (Draper's QFT adder): ``_fourier_add`` writes it, and it is
-the only code that does.  The counter's per-input kicks, the QFT
-estimator's powers, the encoder and the array creators and updater are
-all such layers, optionally under controls.
+phase gates (Draper's QFT adder): ``_fourier_add`` writes it, with
+``_fourier_turn`` as the turn of each qubit.  The counter's per-input
+kicks, the QFT estimator's powers, the encoder and the array creators
+and updater are all such layers, optionally under controls; the generic
+array creator writes only the qubits of each layer it keeps, by the
+same turn rule.
 """
-
-import numpy as np
 
 from .circuit import Circuit, Control, Gate, Hadamard, Phase, Swap, _check_int
 from .statevector import StateVector, _check_width
@@ -103,6 +103,7 @@ def analytic_fourier_state(d: int, n: int) -> StateVector:
     """The Fourier image of |d> built directly from its product form,
     without running any gates.  Serves as an independent target for the
     gate-level builders."""
+    import numpy as np
     n = _check_width(n)
     d = _check_int(d, "value", 0, 1 << n)
     idx = np.arange(1 << n)

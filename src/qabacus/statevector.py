@@ -13,18 +13,26 @@ go from input to readout without a ``2**n`` array.  A dense input stays
 dense, even when it holds a single basis state.  The dense array of a
 basis-form state is built on the first read of ``amplitudes``.
 
+numpy is imported inside the functions that make or read a dense array:
+the dense branch of ``StateVector``, the first read of ``amplitudes``,
+marginals and sampling.  A run that stays in basis form never imports
+it, which keeps numpy's import off the start-up of ``qabacus count``.
+
 Kernels work on ``(2,)*n`` reshaped views of the dense form, which keeps
 every gate application a handful of vectorized slice operations.
 """
 
+from __future__ import annotations
+
 import math
 import numbers
-from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .circuit import Circuit, Gate, Hadamard, Phase, X, _check_int
 from .tracking import NotRepresentable, track
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_QUBITS", "NORM_TOLERANCE", "NotDeterministic", "StateVector",
@@ -93,6 +101,7 @@ class StateVector:
             sumsq = amp.real * amp.real + amp.imag * amp.imag
             basis, amps = _Basis(index, amp), None
         else:
+            import numpy as np
             amps = np.array(amplitudes, dtype=np.complex128)
             if amps.shape != (1 << num_qubits,):
                 raise ValueError(
@@ -116,6 +125,7 @@ class StateVector:
     def amplitudes(self) -> np.ndarray:
         """Read-only view of the 2**n amplitudes."""
         if self._amplitudes is None:
+            import numpy as np
             amps = np.zeros(1 << self._num_qubits, dtype=np.complex128)
             amps[self._basis.index] = self._basis.amp
             amps.flags.writeable = False
@@ -229,6 +239,7 @@ def _check_qubits(state: StateVector, qubits: Sequence[int]) -> tuple[int, ...]:
 
 
 def _marginal_probs(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
+    import numpy as np
     qs = _check_qubits(state, qubits)
     # Qubit q is axis n-1-q; qubits[-1] leads so that qubits[i] is bit i.
     n = state.num_qubits
@@ -242,7 +253,7 @@ def marginal_distribution(state: StateVector,
     """Distribution over a sub-register; qubits[i] becomes bit i of the
     returned keys.  Zero entries omitted."""
     probs = _marginal_probs(state, qubits)
-    nz = np.nonzero(probs)[0]
+    nz = probs.nonzero()[0]
     return {int(i): float(probs[i]) for i in nz}
 
 
@@ -259,7 +270,7 @@ def deterministic_outcome(state: StateVector, tolerance: float = 1e-9, *,
         qubits = range(state.num_qubits)
     if state._basis is None:
         probs = _marginal_probs(state, qubits)
-        best = int(np.argmax(probs))
+        best = int(probs.argmax())
         p = float(probs[best])
     else:
         # The one outcome with any probability: its bits, re-ordered.
@@ -280,6 +291,7 @@ def sample_outcomes(state: StateVector, shots: int,
     deterministic circuits in this package, but handy for exploration."""
     shots = _check_int(shots, "shots", 1)
     if rng is None:
+        import numpy as np
         rng = np.random.default_rng()
     probs = state.probabilities()
     probs = probs / probs.sum()

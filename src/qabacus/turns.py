@@ -172,6 +172,10 @@ def parse_turn(token: str) -> Turn:
         if num < 0:
             raise ValueError(f"numerator must be >= 0, got {num}")
         return DyadicTurn(num, den.bit_length() - 1)
-    if not token.isascii() or "_" in token:
+    try:
+        value = float(token)
+    except ValueError:
+        value = None
+    if value is None or not token.isascii() or "_" in token:
         raise ValueError(f"turn is not a number: {token!r}")
-    return Turn(float(token))
+    return Turn(value)

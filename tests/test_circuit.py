@@ -174,6 +174,9 @@ def test_parse_errors_carry_line_numbers():
     ("qubits 2\nP 0.2_5 -> 1\n", 2, "turn is not a number: '0.2_5'"),
     ("qubits 2\nP \u0660.\u0665 -> 1\n", 2,
      "turn is not a number: '\u0660.\u0665'"),
+    ("qubits 2\nP banana -> 0", 2, "turn is not a number: 'banana'"),
+    ("qubits 2\nP 0.5.5 -> 0\n", 2, "turn is not a number: '0.5.5'"),
+    ("qubits 2\nP 0x1p-2 -> 0\n", 2, "turn is not a number: '0x1p-2'"),
     # Negatives still reach the range texts.
     ("qubits 2\nH -1\n", 2, "target out of range: must be >= 0, got -1"),
     ("qubits 2\nP 1/4 +-1 -> 0\n", 2,
