@@ -1,8 +1,9 @@
 """qabacus: phase-based counting, integer encoding and quantum arrays
 on a dense state-vector simulator.
 
-numpy is needed only on the dense path and is imported there, on first
-use.  Importing the package, ``run_count``, both phase estimators run
+numpy is needed only on the dense path and for branch forms of more
+than one branch (quantum arrays), and is imported there, on first use.
+Importing the package, ``run_count``, both phase estimators run
 on a ``new_basis_state`` input, ``serialize``/``parse`` and the
 ``qabacus count`` and ``qabacus circuit print`` commands never import
 it; ``qabacus encode``, the ``array`` commands, ``create_state``,

@@ -3,6 +3,10 @@
 Commands: count, encode, array create|add|dump, circuit print.  Output
 is line-oriented and stable; --json swaps it for a single JSON object.
 Exit codes: 0 ok, 2 usage or input error, 3 determinism violation.
+
+Every integer argument is ASCII ``-?[0-9]+``, the one integer text that
+circuit text reads too.  The array commands keep the array in a
+values-only ``.npz`` state file: the layout and one value per index.
 """
 
 import argparse
@@ -20,11 +24,11 @@ from .counting import CountTarget, _check_bits, _read_count, build_counter
 from .encoding import build_encoder, decode_register, fourier_phase
 from .phase_estimation import build_qft_phase_estimator
 from .qarray import ArrayContents, ArrayLayout, IndexPredicate, MalformedArray, \
-    build_create, build_update_add, read_all
+    _array_state, build_create, build_update_add, read_all
 from .qft import build_inverse_qft, build_qft
 from .statevector import NotDeterministic, StateVector, apply_circuit, \
     new_basis_state
-from .turns import format_turn
+from .turns import _int_from_text, format_turn
 
 __all__ = ["main"]
 
@@ -58,6 +62,14 @@ class _Reply(NamedTuple):
     text: Iterable[str]
 
 
+def _arg_int(text: str) -> int:
+    """An integer option or operand, read by the one integer rule."""
+    try:
+        return _int_from_text(text, "argument")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 def _parse_bits(text: str) -> list[int]:
     if not text or any(c not in "01" for c in text):
         raise ValueError(f"bit string must be over {{0,1}}, got {text!r}")
@@ -75,8 +87,8 @@ def _parse_predicate(text: str) -> IndexPredicate:
     if text.startswith("mask="):
         try:
             mask_part, match_part = text.split(",")
-            mask = int(mask_part.removeprefix("mask="), 0)
-            match = int(match_part.removeprefix("match="), 0)
+            mask = _int_from_text(mask_part.removeprefix("mask="), "mask")
+            match = _int_from_text(match_part.removeprefix("match="), "match")
         except ValueError:
             raise ValueError(
                 f"predicate must be even, odd, all or mask=M,match=V, got {text!r}"
@@ -88,7 +100,8 @@ def _parse_predicate(text: str) -> IndexPredicate:
 
 def _parse_values(text: str) -> ArrayContents:
     try:
-        return ArrayContents(tuple(int(tok) for tok in text.split(",")))
+        return ArrayContents(tuple(_int_from_text(tok, "value")
+                                   for tok in text.split(",")))
     except ValueError:
         raise ValueError(f"values must be a comma-separated integer list, got {text!r}") \
             from None
@@ -101,8 +114,16 @@ def _dump_state_rows(state: StateVector) -> Iterator[str]:
         yield f"{i:0{state.num_qubits}b} {a.real:.10e} {a.imag:.10e} {probs[i]:.10e}\n"
 
 
-def _save_state(path: str, layout: ArrayLayout, state: StateVector) -> None:
+def _save_state(path: str, layout: ArrayLayout, state: StateVector,
+                contents: ArrayContents) -> None:
+    """Write the layout and ``contents``, the values ``read_all`` found in
+    ``state``.  A branch-form state must carry phase 0 on every branch, as
+    every state the array commands make does: the file holds no phases."""
     import numpy as np
+    branches = state._branches
+    if branches is not None and (branches.amp != 1 or np.any(branches.phase)):
+        raise ValueError("the array state carries phases, which a values-only "
+                         "state file cannot hold")
     # Write a sibling file and rename it over the old one, so a failed
     # write never leaves a half-written state file behind.  np.savez gets
     # the open handle: given a path, it would append ".npz" to the name.
@@ -111,7 +132,7 @@ def _save_state(path: str, layout: ArrayLayout, state: StateVector) -> None:
         with open(tmp, "wb") as fh:
             np.savez(fh, index_qubits=layout.index_qubits,
                      data_qubits=layout.data_qubits,
-                     amplitudes=state.amplitudes)
+                     values=np.array(contents.values, dtype=np.uint64))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -148,18 +169,31 @@ def _load_state(path: str) -> tuple[ArrayLayout, StateVector]:
             if not head.startswith(_ZIP_START):
                 raise ValueError("not an .npz archive")
             with np.load(fh, allow_pickle=False) as payload:
-                layout = ArrayLayout(_layout_field(payload, "index_qubits"),
-                                     _layout_field(payload, "data_qubits"))
-                amps = payload["amplitudes"]
-            if amps.dtype != np.complex128:
-                raise ValueError(f"amplitudes must be complex128, got {amps.dtype}")
+                if "amplitudes" in payload.files \
+                        and "values" not in payload.files:
+                    layout = None
+                else:
+                    layout = ArrayLayout(_layout_field(payload, "index_qubits"),
+                                         _layout_field(payload, "data_qubits"))
+                    values = payload["values"]
+            if layout is not None:
+                if values.dtype != np.uint64 or values.ndim != 1:
+                    raise ValueError(
+                        f"values must be a 1-D uint64 array, got {values.dtype} "
+                        f"of shape {values.shape}")
+                state = _array_state(ArrayContents(tuple(values.tolist())),
+                                     layout)
         # zipfile raises the odd ones on damaged headers, e.g. a flipped
         # version, compression or encryption field, or a bad offset; numpy
         # allocates the shape an array header claims before reading it.
         except (EOFError, KeyError, MemoryError, NotImplementedError, OSError,
                 RuntimeError, ValueError, zipfile.BadZipFile) as exc:
             raise ValueError(f"corrupt state file {path!r}: {exc}") from None
-    return layout, StateVector(layout.num_qubits, amps)
+    if layout is None:
+        raise ValueError(
+            f"{path!r} is an amplitude state file of an older version; "
+            "re-run 'array create' to write the values format")
+    return layout, state
 
 
 def _cmd_count(args) -> _Reply:
@@ -200,7 +234,7 @@ def _cmd_array_create(args) -> _Reply:
     circuit = build_create(contents, layout)
     state = apply_circuit(new_basis_state(layout.num_qubits, 0), circuit)
     stored = read_all(state, layout, args.tolerance)
-    _save_state(args.state, layout, state)
+    _save_state(args.state, layout, state, stored)
     return _Reply(
         {"values": list(contents.values), "index_qubits": m, "data_qubits": args.p},
         {"contents": list(stored.values), "state_file": args.state},
@@ -215,7 +249,7 @@ def _cmd_array_add(args) -> _Reply:
     circuit = build_update_add(args.addend, predicate, layout)
     state = apply_circuit(state, circuit)
     after = read_all(state, layout, args.tolerance)
-    _save_state(args.state, layout, state)
+    _save_state(args.state, layout, state, after)
     return _Reply({"addend": args.addend, "where": args.where},
                   {"before": list(before.values), "after": list(after.values)},
                   gate_count_report(circuit),
@@ -244,7 +278,7 @@ _BUILDERS = {
 
 def _builder_param(builder: str, name: str, text: str):
     parse, kind = (CountTarget, "ones or zeros") if name == "target" \
-        else (int, "an integer")
+        else (lambda token: _int_from_text(token, name), "an integer")
     try:
         return parse(text)
     except ValueError:
@@ -297,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     declare(p, "count", _cmd_count)
 
     p = sub.add_parser("encode", help="encode an integer as phase shifts")
-    p.add_argument("value", type=int)
-    p.add_argument("--qubits", type=int, required=True)
+    p.add_argument("value", type=_arg_int)
+    p.add_argument("--qubits", type=_arg_int, required=True)
     p.add_argument("--dump-state", action="store_true",
                    help="print 'bitstring re im prob' rows of the encoded state")
     declare(p, "encode", _cmd_encode)
@@ -308,15 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = asub.add_parser("create", help="create an array from a value list")
     c.add_argument("values", help="comma-separated integers, e.g. 1,2,0,5")
-    c.add_argument("-p", type=int, required=True, help="data qubits per element")
-    c.add_argument("-m", type=int, default=None,
+    c.add_argument("-p", type=_arg_int, required=True,
+                   help="data qubits per element")
+    c.add_argument("-m", type=_arg_int, default=None,
                    help="index qubits (default: inferred from the value count)")
     c.add_argument("--state", default=DEFAULT_STATE_FILE,
                    help=f"state file (default {DEFAULT_STATE_FILE})")
     declare(c, "array-create", _cmd_array_create)
 
     a = asub.add_parser("add", help="add a constant to selected elements")
-    a.add_argument("addend", type=int)
+    a.add_argument("addend", type=_arg_int)
     a.add_argument("--where", default="all",
                    help="even, odd, all or mask=M,match=V (default all)")
     a.add_argument("--state", default=DEFAULT_STATE_FILE)

@@ -11,14 +11,22 @@ an inverse QFT on the data part.  Updates move the data part into
 Fourier space, add a constant with one adder layer under the index
 predicate's controls, and transform back - data wraps mod 2**p, the
 only behavior consistent with phase addition.
+
+The simulator runs both exactly in ``statevector``'s branch form: the
+first index-pattern gate splits the index qubits into the 2**m branches
+|j, d_j>, and every later gate acts branch by branch, so an array costs
+2**m indices and phases, not 2**(m+p) amplitudes.  ``read_all`` reads
+the values straight off such a state.  A creation with no
+index-controlled gate (all values equal) leaves its index qubits
+superposed and runs dense.
 """
 
 from dataclasses import dataclass
 
 from .circuit import Circuit, Control, Phase, _check_int, _pattern_controls
 from .qft import _fourier_add, _fourier_turn, _phase_frame, _qft_gates
-from .statevector import StateVector, _check_tolerance, _check_width, \
-    apply_circuit, new_basis_state
+from .statevector import StateVector, _Branches, _check_tolerance, \
+    _check_width, apply_circuit, new_basis_state
 
 __all__ = [
     "ArrayLayout", "IndexPredicate", "ArrayContents", "MalformedArray",
@@ -140,13 +148,18 @@ def build_create(contents: ArrayContents, layout: ArrayLayout) -> Circuit:
     shared = {l for l in levels
               if len({v % (1 << (p - l)) for v in values}) == 1}
 
-    def written(v: int, controls: tuple, hoisted: bool) -> list[Phase]:
-        return [Phase(_fourier_turn(v, p - l), l, controls) for l in levels
+    def kept(v: int, hoisted: bool) -> list[int]:
+        return [l for l in levels
                 if (l in shared) == hoisted and v % (1 << (p - l))]
 
-    gates = written(values[0], (), True)
+    gates = [Phase(_fourier_turn(values[0], p - l), l)
+             for l in kept(values[0], True)]
     for j, v in enumerate(values):
-        gates += written(v, _pattern_controls(j, p, m), False)
+        written = kept(v, False)
+        if written:
+            controls = _pattern_controls(j, p, m)
+            gates += [Phase(_fourier_turn(v, p - l), l, controls)
+                      for l in written]
     return _phase_frame(layout.num_qubits, range(layout.num_qubits),
                         [("encode", gates)], range(p))
 
@@ -220,6 +233,9 @@ def read_all(state: StateVector, layout: ArrayLayout,
         raise ValueError(
             f"state has {state.num_qubits} qubits, layout needs "
             f"{layout.num_qubits}")
+    values = _branch_values(state, layout)
+    if values is not None:
+        return ArrayContents(tuple(values.tolist()))
     rows = state.probabilities().reshape(layout.length, 1 << layout.data_qubits)
     mass = rows.sum(axis=1)
     values = rows.argmax(axis=1)
@@ -237,3 +253,30 @@ def read_all(state: StateVector, layout: ArrayLayout,
             f"index {j} has no deterministic value: best candidate {values[j]} "
             f"carries only {peak[j] / mass[j]:.6g} of its mass")
     return ArrayContents(tuple(values.tolist()))
+
+
+def _branch_values(state: StateVector, layout: ArrayLayout):
+    """The values of a branch-form state with exactly one branch per
+    index j, as an int64 array in index order; None for any other state.
+    Each such branch carries all of its index's mass, so the state is of
+    array form whatever the tolerance."""
+    branches = state._branches
+    if branches is None or isinstance(branches.index, int) \
+            or branches.index.size != layout.length:
+        return None
+    import numpy as np
+    p = layout.data_qubits
+    values = np.full(layout.length, -1, dtype=np.int64)
+    values[branches.index >> p] = branches.index & ((1 << p) - 1)
+    return None if (values < 0).any() else values
+
+
+def _array_state(contents: ArrayContents, layout: ArrayLayout) -> StateVector:
+    """The array state 2**(-m/2) * sum_j |j, values[j]> in branch form,
+    every branch at phase 0, built without a circuit."""
+    _check_contents(contents, layout)
+    import numpy as np
+    index = np.arange(layout.length, dtype=np.int64) << layout.data_qubits
+    index |= np.array(contents.values, dtype=np.int64)
+    return StateVector(layout.num_qubits, _Branches(
+        index, 1.0, np.zeros(layout.length, dtype=np.int64)))

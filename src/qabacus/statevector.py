@@ -1,22 +1,29 @@
-"""State vectors, in dense or basis form, and gate-application kernels.
+"""State vectors, in dense or branch form, and gate-application kernels.
 
 The state of ``n`` qubits has ``2**n`` complex128 amplitudes.  Qubit 0
 is the least significant bit of the basis index, so basis state
 ``|q_{n-1} ... q_1 q_0>`` sits at index ``sum(q_b << b)``.
 
 A ``StateVector`` holds them in one of two forms.  The dense form is the
-numpy array itself.  The basis form is a basis index and the one
-unit-modulus amplitude it carries: ``new_basis_state`` makes it, and
-``apply_circuit`` keeps it for every circuit that ``tracking.track``
-runs exactly, so the counter, the phase estimators and encode-then-decode
-go from input to readout without a ``2**n`` array.  A dense input stays
-dense, even when it holds a single basis state.  The dense array of a
-basis-form state is built on the first read of ``amplitudes``.
+numpy array itself.  The branch form is exact:
+``amp * 2**(-s/2) * sum_b e^{2*pi*i*phase_b/2**52} |index_b>`` over
+``B = 2**s`` distinct basis indices, with exact phase numerators and one
+common unit factor ``amp``.  With one branch it is the basis form that
+``new_basis_state`` makes, held in plain ints; with more it is held in
+int64 arrays, and a quantum array 2**(-m/2) * sum_j |j, d_j> is the case
+of one branch per index j.  ``apply_circuit`` keeps the branch form for
+every circuit that ``tracking.track`` runs exactly, so the counter, the
+phase estimators, encode-then-decode, array creation and array updates
+go from input to readout without a ``2**n`` array, and
+``deterministic_outcome`` reads the branches themselves.  A dense input
+stays dense, even when it holds a single basis state.  The dense array
+of a branch-form state is built on the first read of ``amplitudes``.
 
-numpy is imported inside the functions that make or read a dense array:
-the dense branch of ``StateVector``, the first read of ``amplitudes``,
-marginals and sampling.  A run that stays in basis form never imports
-it, which keeps numpy's import off the start-up of ``qabacus count``.
+numpy is imported inside the functions that make or read an array: the
+dense branch of ``StateVector``, the first read of ``amplitudes``,
+marginals, sampling, and a branch form of more than one branch.  A run
+that stays in basis form never imports it, which keeps numpy's import
+off the start-up of ``qabacus count``.
 
 Kernels work on ``(2,)*n`` reshaped views of the dense form, which keeps
 every gate application a handful of vectorized slice operations.
@@ -30,6 +37,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .circuit import Circuit, Gate, Hadamard, Phase, X, _check_int
 from .tracking import NotRepresentable, track
+from .turns import MAX_DYADIC_EXPONENT, DyadicTurn
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,34 +80,65 @@ class NotDeterministic(Exception):
     """No single outcome carries probability >= 1 - tolerance."""
 
 
-class _Basis(NamedTuple):
-    """The basis form: ``amp`` at basis ``index``, zero elsewhere."""
+class _Branches(NamedTuple):
+    """The branch form: ``amp * 2**(-s/2)`` times ``e^{2*pi*i*phase_b /
+    2**52}`` at basis index ``index_b`` for each of ``B = 2**s``
+    branches, zero elsewhere.  ``index`` and ``phase`` are ints for one
+    branch and int64 arrays for more."""
 
-    index: int
+    index: int | np.ndarray
     amp: complex
+    phase: int | np.ndarray = 0
+
+
+def _check_branches(num_qubits: int, form: _Branches) -> _Branches:
+    """The branch form with its fields checked: the index or indices in
+    range (and distinct), the phase numerators in [0, 2**52), a power-of-
+    two branch count above one for the array case."""
+    index, amp, phase = form
+    turn = 1 << MAX_DYADIC_EXPONENT
+    if getattr(index, "ndim", 0) == 0:
+        return _Branches(_check_int(index, "basis index", 0, 1 << num_qubits),
+                         complex(amp), _check_int(phase, "phase", 0, turn))
+    import numpy as np
+    index, phase = np.asarray(index), np.asarray(phase)
+    size = index.size
+    if not (index.shape == phase.shape == (size,) and size > 1
+            and not size & (size - 1)
+            and index.dtype == phase.dtype == np.int64):
+        raise ValueError("branch form needs two int64 arrays of 2**s > 1 "
+                         "entries")
+    if index.min() < 0 or index.max() >= 1 << num_qubits:
+        raise ValueError(f"branch index out of range for {num_qubits} qubits")
+    if phase.min() < 0 or phase.max() >= turn:
+        raise ValueError("branch phase out of range")
+    if np.unique(index).size != size:
+        raise ValueError("branch indices must be distinct")
+    index.flags.writeable = False
+    phase.flags.writeable = False
+    return _Branches(index, complex(amp), phase)
 
 
 class StateVector:
     """Immutable normalized state of a qubit register.
 
-    ``amplitudes`` is either the dense array of ``2**n`` amplitudes or,
-    for the private basis form ``StateVector(n, _Basis(index, amp))``,
-    a basis index and one amplitude.  Both forms are checked here: the
-    width against MAX_QUBITS, the shape or the index, and the norm.  A
-    basis-form state builds its dense array on the first read of
-    ``amplitudes`` and keeps it.
+    ``amplitudes`` is either the dense array of ``2**n`` amplitudes or
+    the private branch form ``StateVector(n, _Branches(index, amp,
+    phase))``.  Both forms are checked here: the width against
+    MAX_QUBITS, the shape or the indices and phases, and the norm (for
+    the branch form, of ``amp``).  A branch-form state builds its dense
+    array on the first read of ``amplitudes`` and keeps it.
     """
 
-    __slots__ = ("_num_qubits", "_amplitudes", "_basis")
+    __slots__ = ("_num_qubits", "_amplitudes", "_branches")
 
     def __init__(self, num_qubits: int, amplitudes: Iterable[complex]):
         num_qubits = _check_width(num_qubits)
-        if isinstance(amplitudes, _Basis):
-            index = _check_int(amplitudes.index, "basis index", 0,
-                               1 << num_qubits)
-            amp = complex(amplitudes.amp)
+        if isinstance(amplitudes, _Branches):
+            branches = _check_branches(num_qubits, amplitudes)
+            amp = branches.amp
             sumsq = amp.real * amp.real + amp.imag * amp.imag
-            basis, amps = _Basis(index, amp), None
+            amps = None
         else:
             import numpy as np
             amps = np.array(amplitudes, dtype=np.complex128)
@@ -110,12 +149,12 @@ class StateVector:
             # One pass; a NaN or infinite amplitude makes the sum NaN or inf.
             sumsq = float(np.vdot(amps, amps).real)
             amps.flags.writeable = False
-            basis = None
+            branches = None
         if not abs(sumsq - 1.0) <= NORM_TOLERANCE:  # NaN fails too
             raise ValueError(f"state is not normalized: sum |a|^2 = {sumsq!r}")
         self._num_qubits = num_qubits
         self._amplitudes = amps
-        self._basis = basis
+        self._branches = branches
 
     @property
     def num_qubits(self) -> int:
@@ -126,8 +165,15 @@ class StateVector:
         """Read-only view of the 2**n amplitudes."""
         if self._amplitudes is None:
             import numpy as np
+            index, amp, phase = self._branches
             amps = np.zeros(1 << self._num_qubits, dtype=np.complex128)
-            amps[self._basis.index] = self._basis.amp
+            if not isinstance(index, int):
+                turns = phase / float(1 << MAX_DYADIC_EXPONENT)
+                amps[index] = (amp / math.sqrt(index.size)) * np.exp(
+                    2j * math.pi * turns)
+            else:
+                amps[index] = amp * DyadicTurn(
+                    phase, MAX_DYADIC_EXPONENT).phase_factor()
             amps.flags.writeable = False
             self._amplitudes = amps
         return self._amplitudes
@@ -147,7 +193,7 @@ class StateVector:
 def new_basis_state(num_qubits: int, basis: int) -> StateVector:
     """The computational basis state |basis> on num_qubits qubits, in
     basis form."""
-    return StateVector(num_qubits, _Basis(basis, 1.0))
+    return StateVector(num_qubits, _Branches(basis, 1.0))
 
 
 def _slices(n: int, bits: dict[int, int]) -> tuple:
@@ -196,26 +242,26 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """The state after every gate of the circuit, in order.
 
-    A basis-form input (``new_basis_state`` or an earlier tracked run)
-    runs first as exact dyadic phase bookkeeping (``tracking.track``):
-    its amplitude picks up the tracked global phase at the output basis
-    index, and the result is in basis form.  A dense input, even one that
-    holds a single basis state, or a circuit the bookkeeping cannot
-    represent, runs gate by gate on a copy of the dense amplitudes.
+    A branch-form input (``new_basis_state``, an earlier tracked run or a
+    loaded array) runs first as exact dyadic phase bookkeeping
+    (``tracking.track``), and the result is in branch form.  A dense
+    input, even one that holds a single basis state, or a circuit the
+    bookkeeping cannot represent, runs gate by gate on a copy of the
+    dense amplitudes.
     """
     if circuit.num_qubits != state.num_qubits:
         raise ValueError(
             f"circuit width {circuit.num_qubits} != state width "
             f"{state.num_qubits}")
-    basis = state._basis
-    if basis is not None:
+    branches = state._branches
+    if branches is not None:
         try:
-            out, phase = track(circuit, basis.index)
+            index, phase = track(circuit, branches.index, branches.phase)
         except NotRepresentable:
             pass
         else:
             return StateVector(state.num_qubits,
-                               _Basis(out, basis.amp * phase.phase_factor()))
+                               _Branches(index, branches.amp, phase))
     amps = state.amplitudes.copy()
     for gate in circuit.gates:
         _apply_gate_inplace(amps, state.num_qubits, gate)
@@ -268,16 +314,26 @@ def deterministic_outcome(state: StateVector, tolerance: float = 1e-9, *,
     _check_tolerance(tolerance)
     if qubits is None:
         qubits = range(state.num_qubits)
-    if state._basis is None:
+    branches = state._branches
+    if branches is None:
         probs = _marginal_probs(state, qubits)
         best = int(probs.argmax())
         p = float(probs[best])
     else:
-        # The one outcome with any probability: its bits, re-ordered.
-        index, amp = state._basis
+        # Each branch's outcome is its index bits, re-ordered; every
+        # branch carries |amp|^2 / B, whatever its phase.
+        index, amp, _ = branches
         best = sum(((index >> q) & 1) << bit
                    for bit, q in enumerate(_check_qubits(state, qubits)))
         p = amp.real * amp.real + amp.imag * amp.imag
+        if not isinstance(index, int):
+            # The most frequent outcome, the lowest of a tie, as argmax
+            # picks it from the marginal.
+            import numpy as np
+            outcomes, counts = np.unique(best, return_counts=True)
+            top = int(counts.argmax())
+            best = int(outcomes[top])
+            p = p * int(counts[top]) / index.size
     if p < 1.0 - tolerance:
         raise NotDeterministic(
             f"largest outcome probability is {p:.6g} (index {best}), "

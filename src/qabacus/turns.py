@@ -162,7 +162,8 @@ def _int_from_text(token: str, role: str) -> int:
 def parse_turn(token: str) -> Turn:
     """Inverse of format_turn.  Raises ValueError on malformed input,
     including integers or floats that format_turn never writes (signs
-    other than a leading '-', '_' separators, non-ASCII digits)."""
+    other than a leading '-', '_' separators, non-ASCII digits, and any
+    float text but the ``repr`` of a value in [0, 1))."""
     if "/" in token:
         num_text, _, den_text = token.partition("/")
         num = _int_from_text(num_text, "numerator")
@@ -178,4 +179,7 @@ def parse_turn(token: str) -> Turn:
         value = None
     if value is None or not token.isascii() or "_" in token:
         raise ValueError(f"turn is not a number: {token!r}")
+    if repr(value) != token or token[0] == "-" or not 0.0 <= value < 1.0:
+        raise ValueError(
+            f"float turn must be the repr of a value in [0, 1): {token!r}")
     return Turn(value)

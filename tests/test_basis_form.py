@@ -13,7 +13,7 @@ from qabacus import (
     build_qft_phase_estimator, deterministic_outcome, marginal_distribution, new_basis_state,
     outcome_distribution, run_count, sample_outcomes,
 )
-from qabacus.statevector import NORM_TOLERANCE, _Basis
+from qabacus.statevector import NORM_TOLERANCE, _Branches
 
 # A unit amplitude whose |a|^2 rounds to 1 - 2**-53, so a tolerance of
 # 1e-17 (where 1 - tolerance rounds to 1) cannot be cleared.
@@ -24,7 +24,7 @@ def _both_forms(n, index, amp):
     """The state amp*|index> once in basis form and once dense."""
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[index] = amp
-    return StateVector(n, _Basis(index, amp)), StateVector(n, amps)
+    return StateVector(n, _Branches(index, amp)), StateVector(n, amps)
 
 
 def _outcome(state, qubits, tolerance):
@@ -84,17 +84,17 @@ def test_basis_amplitudes_are_read_only_and_cached():
 ])
 def test_basis_form_rejects_a_non_unit_amplitude(amp):
     with pytest.raises(ValueError, match="^state is not normalized"):
-        StateVector(2, _Basis(1, amp))
+        StateVector(2, _Branches(1, amp))
 
 
 def test_basis_form_checks_width_index_and_accepts_the_tolerance():
     for amp in (1 + 0.4 * NORM_TOLERANCE, 1 - 0.4 * NORM_TOLERANCE,
                 cmath.exp(0.3j)):
-        assert StateVector(2, _Basis(3, amp)).amplitudes[3] == amp
+        assert StateVector(2, _Branches(3, amp)).amplitudes[3] == amp
     with pytest.raises(ValueError, match=r"^basis index out of range"):
-        StateVector(2, _Basis(4, 1.0))
+        StateVector(2, _Branches(4, 1.0))
     with pytest.raises(ValueError, match="^basis index must be an integer"):
-        StateVector(2, _Basis(True, 1.0))
+        StateVector(2, _Branches(True, 1.0))
     with pytest.raises(ValueError) as err:
         new_basis_state(25, 0)
     assert str(err.value) == "register width must be in [1, 24] qubits, got 25"

@@ -177,6 +177,11 @@ def test_parse_errors_carry_line_numbers():
     ("qubits 2\nP banana -> 0", 2, "turn is not a number: 'banana'"),
     ("qubits 2\nP 0.5.5 -> 0\n", 2, "turn is not a number: '0.5.5'"),
     ("qubits 2\nP 0x1p-2 -> 0\n", 2, "turn is not a number: '0x1p-2'"),
+    # A float turn is the repr of a value in [0, 1), as serialize writes it.
+    *(("qubits 1\nP %s -> 0\n" % token, 2,
+       "float turn must be the repr of a value in [0, 1): %r" % token)
+      for token in ("+0.5", ".5", "5E-1", "0.50", "1.5", "-0.25", "-0.0",
+                    "nan", "inf")),
     # Negatives still reach the range texts.
     ("qubits 2\nH -1\n", 2, "target out of range: must be >= 0, got -1"),
     ("qubits 2\nP 1/4 +-1 -> 0\n", 2,

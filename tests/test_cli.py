@@ -7,11 +7,14 @@ import zipfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qabacus import ArrayLayout, Circuit, StateVector, build_counter, serialize
+from qabacus import ArrayContents, ArrayLayout, Circuit, StateVector, \
+    build_counter, create_state, read_all, serialize
 from qabacus.cli import _load_state, _save_state, main
+from qabacus.statevector import _Branches
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -240,22 +243,49 @@ def write_state(path, **arrays):
 
 
 def test_array_dump_detects_malformed_state(capsys, tmp_path):
-    # a hand-written state that is not of array form: everything uniform
+    # a hand-written state whose value needs more than its data qubits
     state = tmp_path / "broken.npz"
     write_state(state, index_qubits=1, data_qubits=1,
-                amplitudes=np.full(4, 0.5, dtype=np.complex128))
-    code, _, err = run_cli(capsys, "array", "dump", "--state", str(state))
-    assert code == 3
-    assert "deterministic" in err
+                values=np.array([0, 2], dtype=np.uint64))
+    code, out, err = run_cli(capsys, "array", "dump", "--state", str(state))
+    assert code == 2 and out == ""
+    assert "value 2 at index 1 does not fit in 1 data qubits" in err
 
 
 def test_array_dump_rejects_non_finite_state(capsys, tmp_path):
     state = tmp_path / "nan.npz"
     write_state(state, index_qubits=1, data_qubits=1,
-                amplitudes=np.full(4, complex(float("nan"), 0.0)))
+                values=np.full(2, float("nan")))
     code, out, err = run_cli(capsys, "array", "dump", "--state", str(state))
     assert code == 2 and out == ""
-    assert "normalized" in err
+    assert "values must be a 1-D uint64 array, got float64" in err
+
+
+def test_array_rejects_old_amplitude_state(capsys, tmp_path):
+    state = tmp_path / "old.npz"
+    amps = np.zeros(4, dtype=np.complex128)
+    amps[[0, 3]] = 2 ** -0.5
+    write_state(state, index_qubits=1, data_qubits=1, amplitudes=amps)
+    for argv in (["dump"], ["add", "1"]):
+        code, out, err = run_cli(capsys, "array", *argv, "--state", str(state))
+        assert code == 2 and out == "", argv
+        assert err == (f"error: {str(state)!r} is an amplitude state file of "
+                       "an older version; re-run 'array create' to write the "
+                       "values format\n")
+
+
+def test_save_refuses_a_state_with_phases(tmp_path):
+    layout = ArrayLayout(1, 1)
+    contents = ArrayContents((0, 1))
+    index = np.array([0b00, 0b11], dtype=np.int64)
+    path = str(tmp_path / "state.npz")
+    for amp, phase in ((1.0, [0, 1]), (1j, [0, 0])):
+        state = StateVector(2, _Branches(index, amp,
+                                         np.array(phase, dtype=np.int64)))
+        assert read_all(state, layout) == contents
+        with pytest.raises(ValueError, match="carries phases"):
+            _save_state(path, layout, state, contents)
+    assert not os.path.exists(path)
 
 
 def test_array_add_failed_write_keeps_old_state(capsys, tmp_path,
@@ -280,15 +310,19 @@ def test_array_add_failed_write_keeps_old_state(capsys, tmp_path,
 
 
 def test_state_file_round_trip_is_bit_exact(tmp_path):
-    layout = ArrayLayout(2, 3)
+    layout = ArrayLayout(3, 5)
     rng = np.random.default_rng(7)
-    amps = rng.normal(size=32) + 1j * rng.normal(size=32)
-    state = StateVector(5, amps / np.linalg.norm(amps))
+    contents = ArrayContents(tuple(int(v) for v in rng.integers(32, size=8)))
+    state = create_state(contents, layout)
     path = str(tmp_path / "state.npz")
-    _save_state(path, layout, state)
+    _save_state(path, layout, state, contents)
     loaded_layout, loaded = _load_state(path)
     assert loaded_layout == layout
-    assert loaded.amplitudes.dtype == np.complex128
+    # The same branches, in index order, every one at phase 0.
+    order = np.argsort(state._branches.index)
+    assert loaded._branches.index.tolist() == \
+        state._branches.index[order].tolist()
+    assert loaded._branches.phase.tolist() == [0] * 8
     assert loaded.amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
@@ -298,8 +332,10 @@ def test_array_default_state_file_is_npz(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert os.listdir(tmp_path) == ["qarray.npz"]
     with np.load(tmp_path / "qarray.npz", allow_pickle=False) as payload:
-        assert sorted(payload.files) == ["amplitudes", "data_qubits",
-                                         "index_qubits"]
+        assert sorted(payload.files) == ["data_qubits", "index_qubits",
+                                         "values"]
+        assert payload["values"].dtype == np.uint64
+        assert payload["values"].tolist() == [1, 2]
 
 
 def test_array_rejects_old_json_state(capsys, tmp_path):
@@ -316,35 +352,35 @@ def test_array_rejects_old_json_state(capsys, tmp_path):
 
 
 def _corrupt_states(good: bytes):
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0] = 1.0
+    values = np.array([1, 0], dtype=np.uint64)
     layout = {"index_qubits": 1, "data_qubits": 1}
     yield "truncated", good[:len(good) // 2]
     yield "random", np.random.default_rng(3).bytes(256)
     yield "empty", b""
-    yield "no-amplitudes", layout
-    yield "string-amplitudes", {**layout, "amplitudes": np.array(["1", "0", "0", "0"])}
-    yield "real-amplitudes", {**layout, "amplitudes": amps.real}
-    yield "2-D-amplitudes", {**layout, "amplitudes": amps.reshape(2, 2)}
-    yield "short-amplitudes", {**layout, "amplitudes": amps[:3]}
-    yield "object-amplitudes", {**layout, "amplitudes": np.array(
-        [1 + 0j, 0j, 0j, 0j], dtype=object)}
-    yield "float-layout", {**layout, "index_qubits": 1.0, "amplitudes": amps}
-    yield "vector-layout", {**layout, "data_qubits": [1], "amplitudes": amps}
-    yield "zero-layout", {**layout, "index_qubits": 0, "amplitudes": amps}
+    yield "no-values", layout
+    yield "string-values", {**layout, "values": np.array(["1", "0"])}
+    yield "signed-values", {**layout, "values": values.astype(np.int64)}
+    yield "float-values", {**layout, "values": values.astype(np.float64)}
+    yield "2-D-values", {**layout, "values": values.reshape(1, 2)}
+    yield "short-values", {**layout, "values": values[:1]}
+    yield "wide-values", {**layout, "values": values + 1}
+    yield "object-values", {**layout, "values": np.array([1, 0], dtype=object)}
+    yield "float-layout", {**layout, "index_qubits": 1.0, "values": values}
+    yield "vector-layout", {**layout, "data_qubits": [1], "values": values}
+    yield "zero-layout", {**layout, "index_qubits": 0, "values": values}
     npy = io.BytesIO()
-    np.save(npy, amps)
+    np.save(npy, values)
     yield "npy", npy.getvalue()  # a bare array, not an archive
-    yield "pickle", pickle.dumps({**layout, "amplitudes": amps})
-    # an archive whose amplitudes header claims 16 TiB
+    yield "pickle", pickle.dumps({**layout, "values": values})
+    # an archive whose values header claims 8 TiB
     archive = io.BytesIO()
     with zipfile.ZipFile(archive, "w") as zf:
         for key, value in layout.items():
             with zf.open(f"{key}.npy", "w") as fh:
                 np.lib.format.write_array(fh, np.array(value))
-        with zf.open("amplitudes.npy", "w") as fh:
+        with zf.open("values.npy", "w") as fh:
             np.lib.format.write_array_header_1_0(fh, {
-                "descr": "<c16", "fortran_order": False, "shape": (1 << 40,)})
+                "descr": "<u8", "fortran_order": False, "shape": (1 << 40,)})
     yield "huge-header", archive.getvalue()
 
 
@@ -414,6 +450,49 @@ def test_circuit_print_names_bad_parameter(capsys):
         code, out, err = run_cli(capsys, "circuit", "print", *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and "takes" in err, argv
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["array", "create", "1_0,2,3,0", "-p", "4"],
+     "error: values must be a comma-separated integer list, got '1_0,2,3,0'"),
+    (["array", "create", "10,\u0662,3,0", "-p", "4"],
+     "error: values must be a comma-separated integer list, "
+     "got '10,\u0662,3,0'"),
+    (["array", "create", "10,2,+3,0", "-p", "4"],
+     "error: values must be a comma-separated integer list, got '10,2,+3,0'"),
+    (["array", "create", "1,2,3,0", "-p", "\u0664"],
+     "error: argument -p: not an integer: '\u0664'"),
+    (["array", "create", "1,2,3,0", "-p", "4", "-m", "+2"],
+     "error: argument -m: not an integer: '+2'"),
+    (["array", "add", "\u0663"], "error: argument addend: not an integer: "
+                                 "'\u0663'"),
+    (["array", "add", "3", "--where", "mask=0b1,match=0x1"],
+     "error: predicate must be even, odd, all or mask=M,match=V, "
+     "got 'mask=0b1,match=0x1'"),
+    (["array", "add", "3", "--where", "mask=1,match=+1"],
+     "error: predicate must be even, odd, all or mask=M,match=V, "
+     "got 'mask=1,match=+1'"),
+    (["encode", "1_0", "--qubits", "4"],
+     "error: argument value: not an integer: '1_0'"),
+    (["encode", "10", "--qubits", "\u0664"],
+     "error: argument --qubits: not an integer: '\u0664'"),
+    (["circuit", "print", "qft", "+3"],
+     "error: builder 'qft': n must be an integer, got '+3'"),
+], ids=["values-underscore", "values-arabic-indic", "values-plus", "p", "m",
+        "addend", "mask-prefix", "match-plus", "encode-value",
+        "encode-qubits", "builder-param"])
+def test_integer_arguments_are_ascii_digits(capsys, tmp_path, argv, text):
+    # Every integer argument is ASCII -?[0-9]+; nothing is written.
+    state = tmp_path / "array.npz"
+    run_cli(capsys, "array", "create", "1,2,3,0", "-p", "4",
+            "--state", str(state))
+    before = state.read_bytes()
+    if argv[0] == "array":
+        argv = argv + ["--state", str(state)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(text)
+    assert state.read_bytes() == before
 
 
 def test_usage_errors_exit_2(capsys):

@@ -7,24 +7,25 @@ without a single dense gate.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qabacus import (
     ArrayContents, ArrayLayout, Circuit, Control, CountTarget, Hadamard,
     IndexPredicate, Phase, PhaseTable, StateVector, Swap, X, apply_circuit,
-    build_counter, build_create, build_encoder, build_inverse_qft,
-    build_phase_estimator, build_qft_phase_estimator, build_update_add,
-    create_state, deterministic_outcome, new_basis_state, run_count,
-    statevector,
+    build_counter, build_create, build_create_arithmetic, build_encoder,
+    build_inverse_qft, build_phase_estimator, build_qft_phase_estimator,
+    build_update_add, create_state, deterministic_outcome, new_basis_state,
+    read_all, run_count, statevector,
 )
 from qabacus.cli import main
-from qabacus.reference import ref_circuit_matrix
+from qabacus.reference import ref_array_update, ref_circuit_matrix
 from qabacus.tracking import NotRepresentable, track
-from qabacus.turns import DyadicTurn, Turn
+from qabacus.turns import MAX_DYADIC_EXPONENT, DyadicTurn, Turn
 
 
 @pytest.fixture
@@ -112,7 +113,7 @@ def _check_against_reference(circuit, basis, amplitude, dense_gates) -> bool:
     returns whether the run was tracked (no dense gate applied)."""
     n = circuit.num_qubits
     before = len(dense_gates)
-    out = apply_circuit(StateVector(n, statevector._Basis(basis, amplitude)),
+    out = apply_circuit(StateVector(n, statevector._Branches(basis, amplitude)),
                         circuit)
     expected = ref_circuit_matrix(circuit)[:, basis] * amplitude
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
@@ -139,37 +140,87 @@ def test_random_circuits_match_reference(dense_gates):
     assert cases // 4 <= tracked <= cases - cases // 4, tracked
 
 
+def _tracked(circuit, basis):
+    """``track`` on one basis input, its phase numerator read as a turn."""
+    index, phase = track(circuit, basis)
+    return index, DyadicTurn(phase, MAX_DYADIC_EXPONENT)
+
+
 def test_named_rules():
     # H turns a bit into theta = b/2 and theta in {0, 1/2} back into a bit.
-    assert track(Circuit(1, (Hadamard(0), Hadamard(0))), 1) == \
+    assert _tracked(Circuit(1, (Hadamard(0), Hadamard(0))), 1) == \
         (1, DyadicTurn(0, 0))
     # A half turn on a superposed qubit flips its bit after the second H.
     half = DyadicTurn(1, 1)
-    assert track(Circuit(1, (Hadamard(0), Phase(half, 0), Hadamard(0))), 0) \
-        == (1, DyadicTurn(0, 0))
+    assert _tracked(Circuit(1, (Hadamard(0), Phase(half, 0), Hadamard(0))),
+                    0) == (1, DyadicTurn(0, 0))
     # X on theta moves theta to the global phase and negates it.
     quarter = DyadicTurn(1, 2)
     c = Circuit(1, (Hadamard(0), Phase(quarter, 0), X(0), Phase(quarter, 0),
                     Hadamard(0)))
-    assert track(c, 0) == (0, quarter)
+    assert _tracked(c, 0) == (0, quarter)
     # A plain float turn is just as exact: Turn(0.25) tracks like 1/4.
     c = Circuit(1, (Hadamard(0), Phase(Turn(0.25), 0), X(0),
                     Phase(Turn(0.25), 0), Hadamard(0)))
-    assert track(c, 0) == (0, quarter)
+    assert _tracked(c, 0) == (0, quarter)
     # 2**-52 is the finest turn the tracker holds.
-    assert track(Circuit(1, (Phase(Turn(2**-52), 0),)), 1) == \
+    assert _tracked(Circuit(1, (Phase(Turn(2**-52), 0),)), 1) == \
         (1, DyadicTurn(1, 52))
     # An open dot on a superposed qubit: the turn goes to |0>.
     c = Circuit(2, (Hadamard(0), Phase(half, 1, (Control(0, False),)),
                     Hadamard(0)))
-    assert track(c, 0b10) == (0b11, half)
+    assert _tracked(c, 0b10) == (0b11, half)
+    # An open and a closed dot of a quarter turn: a quarter on |0> and one
+    # on |1> make a global quarter turn, and qubit 0 comes back as 0.
+    c = Circuit(2, (Hadamard(0), Phase(quarter, 1, (Control(0, False),)),
+                    Phase(quarter, 1, (Control(0),)), Hadamard(0)))
+    assert _tracked(c, 0b10) == (0b10, quarter)
     # A failed bit condition makes the gate the identity, whatever its turn.
     c = Circuit(2, (Hadamard(0), Phase(Turn(0.1), 0, (Control(1),)),
                     Hadamard(0)))
-    assert track(c, 0b00) == (0b00, DyadicTurn(0, 0))
+    assert _tracked(c, 0b00) == (0b00, DyadicTurn(0, 0))
     # Swap exchanges a bit slot and a phase slot.
     c = Circuit(2, (Hadamard(0), Swap(0, 1), Hadamard(1)))
-    assert track(c, 0b11) == (0b11, DyadicTurn(0, 0))
+    assert _tracked(c, 0b11) == (0b11, DyadicTurn(0, 0))
+
+
+# Qubit 0 carries theta = 1/4 into a gate that conditions on qubits 0, 1
+# and 2, all superposed: qubits 0 and 1 split into four branches, and the
+# two with qubit 0 set start at phase 1/4.
+_SPLIT_QUARTER = Circuit(3, (
+    Hadamard(0), Hadamard(1), Hadamard(2), Phase(DyadicTurn(1, 2), 0),
+    Phase(DyadicTurn(1, 1), 2, (Control(0), Control(1))), Hadamard(2)))
+
+
+def test_split_rules(dense_gates):
+    quarter = 1 << (MAX_DYADIC_EXPONENT - 2)
+    index, phase = track(_SPLIT_QUARTER, 0)
+    assert index.tolist() == [0b000, 0b001, 0b010, 0b111]
+    assert phase.tolist() == [0, quarter, 0, quarter]
+    # An open dot splits the same way; the target turns where qubit 0 is 0.
+    c = Circuit(3, (Hadamard(0), Hadamard(1), Hadamard(2),
+                    Phase(DyadicTurn(1, 1), 2, (Control(0, False), Control(1))),
+                    Hadamard(2)))
+    index, phase = track(c, 0)
+    assert index.tolist() == [0b000, 0b001, 0b110, 0b011]
+    assert phase.tolist() == [0, 0, 0, 0]
+    # Each branch weighs 1/2 and the split phase survives materializing.
+    state = apply_circuit(new_basis_state(3, 0), _SPLIT_QUARTER)
+    assert dense_gates == []
+    expected = _dense_loop(_SPLIT_QUARTER, 0)
+    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+    assert np.allclose(expected[[0, 1, 2, 7]], [0.5, 0.5j, 0.5, 0.5j],
+                       atol=1e-12)
+    # A branched input splits again, and a Hadamard on a bit that differs
+    # between input branches can bring two branches to one index: that
+    # run goes dense.
+    twice = Circuit.from_blocks(3, [("one", _SPLIT_QUARTER.gates),
+                                    ("two", _SPLIT_QUARTER.gates)])
+    with pytest.raises(NotRepresentable, match="one basis index"):
+        track(_SPLIT_QUARTER, *track(_SPLIT_QUARTER, 0))
+    again = apply_circuit(state, _SPLIT_QUARTER)
+    assert len(dense_gates) == len(_SPLIT_QUARTER.gates)
+    assert np.max(np.abs(again.amplitudes - _dense_loop(twice, 0))) <= 1e-12
 
 
 @pytest.mark.parametrize("circuit, basis", [
@@ -186,7 +237,13 @@ def test_named_rules():
     (build_encoder(5, 3), 0),
     # A float turn finer than 2**-52 on a bit.
     (Circuit(1, (Phase(Turn(2**-53), 0),)), 1),
-], ids=["two-superposed", "quarter-h", "non-dyadic", "encoder", "too-fine"])
+    # A Hadamard on a qubit the run split, though the state it makes,
+    # (|00> + |11>)/sqrt(2), is of branch form.
+    (Circuit(2, (Hadamard(0), Hadamard(1),
+                 Phase(DyadicTurn(1, 1), 1, (Control(0),)),
+                 Hadamard(0), Hadamard(1), Hadamard(0))), 0),
+], ids=["two-superposed", "quarter-h", "non-dyadic", "encoder", "too-fine",
+        "h-on-split"])
 def test_named_cases_go_dense_and_match(circuit, basis, dense_gates):
     with pytest.raises(NotRepresentable):
         track(circuit, basis)
@@ -216,7 +273,7 @@ def test_dense_basis_input_stays_dense(dense_gates):
     assert dense_gates == list(circuit.gates)
     expected = ref_circuit_matrix(circuit)[:, basis] * amplitude
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
-    assert out._basis is None
+    assert out._branches is None
 
 
 def test_counter_runs_tracked_at_16_bits(no_dense):
@@ -260,27 +317,78 @@ def test_encode_then_decode_runs_tracked(no_dense):
             assert state.amplitudes[d] == pytest.approx(1, abs=1e-12)
 
 
-def test_arrays_stay_dense(no_dense, tmp_path):
-    with pytest.raises(DenseKernelCalled):
-        create_state(ArrayContents((1, 2, 0, 5)), ArrayLayout(2, 3))
-    with pytest.raises(DenseKernelCalled):
-        main(["array", "create", "1,2,0,5", "-p", "3",
-              "--state", str(tmp_path / "a.npz")])
+def test_arrays_stay_in_branch_form(no_dense, tmp_path):
+    layout = ArrayLayout(2, 3)
+    state = create_state(ArrayContents((1, 2, 0, 5)), layout)
+    state = apply_circuit(state,
+                          build_update_add(1, IndexPredicate.even(), layout))
+    assert read_all(state, layout).values == (2, 2, 1, 5)
+    assert state._amplitudes is None
+    path = str(tmp_path / "a.npz")
+    for argv in (["array", "create", "1,2,0,5", "-p", "3"],
+                 ["array", "add", "1", "--where", "even"], ["array", "dump"]):
+        assert main(argv + ["--state", path]) == 0
+
+
+def _peak_mib(call) -> float:
+    """tracemalloc's peak over one call, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_array_path_builds_no_dense_array(tmp_path, capsys):
+    # 22 qubits: one dense array would be 64 MiB.
+    layout = ArrayLayout(4, 18)
+    values = tuple((j * 40503) % (1 << 18) for j in range(16))
+    path = str(tmp_path / "a.npz")
+
+    def library():
+        state = create_state(ArrayContents(values), layout)
+        state = apply_circuit(
+            state, build_update_add(7, IndexPredicate.odd(), layout))
+        assert read_all(state, layout).values == \
+            ref_array_update(values, 7, IndexPredicate.odd(), 18)
+
+    def cli():
+        for argv in (["array", "create", ",".join(map(str, values)),
+                      "-p", "18"],
+                     ["array", "add", "7", "--where", "odd"],
+                     ["array", "dump"]):
+            assert main(argv + ["--state", path]) == 0
+        capsys.readouterr()
+
+    assert _peak_mib(library) < 4
+    assert _peak_mib(cli) < 4
 
 
 # The correctness gate: every builder the tracker is meant to run, on drawn
 # basis inputs at <= 12 qubits, must track without raising and give the
 # plain dense gate loop's amplitudes, global phase included.
 
-def _dense_loop(circuit, basis) -> np.ndarray:
-    amps = new_basis_state(circuit.num_qubits, basis).amplitudes.copy()
+# The dense kernel itself, whatever a fixture puts in its place.
+_KERNEL = statevector._apply_gate_inplace
+
+
+def _dense_run(circuit, amps) -> np.ndarray:
+    amps = amps.copy()
     for gate in circuit.gates:
-        statevector._apply_gate_inplace(amps, circuit.num_qubits, gate)
+        _KERNEL(amps, circuit.num_qubits, gate)
     return amps
 
 
+def _dense_loop(circuit, basis) -> np.ndarray:
+    amps = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
+    amps[basis] = 1.0
+    return _dense_run(circuit, amps)
+
+
 def _check_tracked(circuit, basis):
-    out, phase = track(circuit, basis)
+    out, phase = _tracked(circuit, basis)
     state = apply_circuit(new_basis_state(circuit.num_qubits, basis), circuit)
     expected = _dense_loop(circuit, basis)
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
@@ -341,13 +449,63 @@ def test_builders_track_and_match_dense_loop(run):
     _check_tracked(*run)
 
 
+@st.composite
+def _array_chains(draw):
+    """A creation that splits into one branch per index (generic contents
+    not all equal, or an arithmetic series), then up to three updates."""
+    m, p = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    layout = ArrayLayout(m, p)
+    if draw(st.booleans()):
+        values = draw(st.lists(_below(p), min_size=1 << m, max_size=1 << m)
+                      .filter(lambda v: len(set(v)) > 1))
+        create = build_create(ArrayContents(tuple(values)), layout)
+    else:
+        create = build_create_arithmetic(draw(_below(p)), draw(_below(p)),
+                                         layout)
+    updates = draw(st.lists(st.tuples(_below(p), _below(m), _below(m)),
+                            max_size=3))
+    return layout, [create] + [
+        build_update_add(addend, IndexPredicate(mask, match & mask), layout)
+        for addend, mask, match in updates]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_array_chains())
+def test_array_chains_track_and_match_dense_loop(dense_gates, chain):
+    layout, circuits = chain
+    state = new_basis_state(layout.num_qubits, 0)
+    expected = _dense_loop(circuits[0], 0)
+    for step, circuit in enumerate(circuits):
+        if step:
+            expected = _dense_run(circuit, expected)
+        before = len(dense_gates)
+        state = apply_circuit(state, circuit)
+        assert len(dense_gates) == before
+        assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+        # One branch per index, every branch at phase 0: the values-only
+        # state file drops nothing.
+        branches = state._branches
+        assert branches.index.size == layout.length
+        assert branches.amp == 1 and not branches.phase.any()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_create_and_bare_encoder_are_not_representable(data):
     m, p = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
     values = data.draw(st.lists(_below(p), min_size=1 << m, max_size=1 << m))
-    with pytest.raises(NotRepresentable):
-        track(build_create(ArrayContents(tuple(values)), ArrayLayout(m, p)), 0)
+    circuit = build_create(ArrayContents(tuple(values)), ArrayLayout(m, p))
+    if len(set(values)) == 1:
+        # No gate is index-controlled, so the index qubits end superposed.
+        with pytest.raises(NotRepresentable):
+            track(circuit, 0)
+    else:
+        # The first index-pattern gate splits every index qubit.
+        index, phase = track(circuit, 0)
+        assert sorted(index.tolist()) == \
+            [j << p | v for j, v in enumerate(values)]
+        assert not phase.any()
     n = data.draw(st.integers(1, 12))
     with pytest.raises(NotRepresentable):
         track(build_encoder(data.draw(_below(n)), n), 0)

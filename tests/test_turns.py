@@ -94,7 +94,8 @@ def test_format_and_parse():
         with pytest.raises(ValueError) as err:
             parse_turn(token)
         assert str(err.value) == reason
-    for turn in (DyadicTurn(3, 52), Turn(1e-05), Turn(5e-324), Turn(0.1)):
+    for turn in (DyadicTurn(3, 52), Turn(1e-05), Turn(5e-324), Turn(0.1),
+                 Turn(1e-20)):
         assert parse_turn(format_turn(turn)) == turn
 
 
