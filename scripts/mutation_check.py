@@ -79,7 +79,9 @@ MUTATIONS = (
     Mutation("hadamard-on-split-qubit", _TRACKING,
              "if branched >> q & 1:", "if False:", (_CASES,)),
     Mutation("branches-collide", _TRACKING,
-             "if np.unique(index).size < index.size:", "if False:",
+             "if (ordered[1:] == ordered[:-1]).any():\n"
+             "            raise NotRepresentable",
+             "if False:\n            raise NotRepresentable",
              (_SPLITS,)),
     Mutation("stale-condition-memo", _TRACKING,
              "if last[0] is not index or last[1:3] != (mask, match):",

@@ -112,7 +112,8 @@ def _check_branches(num_qubits: int, form: _Branches) -> _Branches:
         raise ValueError(f"branch index out of range for {num_qubits} qubits")
     if phase.min() < 0 or phase.max() >= turn:
         raise ValueError("branch phase out of range")
-    if np.unique(index).size != size:
+    ordered = np.sort(index)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("branch indices must be distinct")
     index.flags.writeable = False
     phase.flags.writeable = False
