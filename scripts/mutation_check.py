@@ -1,4 +1,4 @@
-"""Check that the tests catch each mutation of the exact tracked path.
+"""Check that the tests catch each mutation of the exact paths.
 
 Each row of MUTATIONS names one exact source snippet under ``src/``, its
 replacement, and the tests expected to fail once the snippet is
@@ -43,6 +43,11 @@ _NAMED = _TESTS + "test_named_rules"
 _CASES = _TESTS + "test_named_cases_go_dense_and_match"
 _SPLITS = _TESTS + "test_split_rules"
 _CHAINS = _TESTS + "test_array_chains_track_and_match_dense_loop"
+_CIRCUIT = "qabacus/circuit.py"
+_WIDTH = "tests/test_circuit.py::test_circuit_width_covers_every_qubit_of_a_gate"
+_MEMO = "tests/test_circuit.py::test_pattern_controls_memo_is_bounded_and_exact"
+_POW2 = ("tests/test_turns.py::test_times_pow2_principal_value",
+         "tests/test_turns.py::test_dyadic_times_pow2_matches_fraction")
 
 MUTATIONS = (
     # The rules of the one-branch tracker.
@@ -86,6 +91,26 @@ MUTATIONS = (
     Mutation("stale-condition-memo", _TRACKING,
              "if last[0] is not index or last[1:3] != (mask, match):",
              "if last[0] is not index:", (_CHAINS,)),
+    # The gate and circuit model.
+    Mutation("phase-top-from-target", _CIRCUIT,
+             'object.__setattr__(self, "_top", max(qubits))',
+             'object.__setattr__(self, "_top", self.target)', (_WIDTH,)),
+    Mutation("swap-top-from-a", _CIRCUIT,
+             'object.__setattr__(self, "_top", max(self.a, self.b))',
+             'object.__setattr__(self, "_top", self.a)', (_WIDTH,)),
+    Mutation("pattern-polarity", _CIRCUIT,
+             "positive=bool((match >> b) & 1)",
+             "positive=not (match >> b) & 1", (_MEMO,)),
+    Mutation("unbounded-pattern-memo", _CIRCUIT,
+             "@functools.lru_cache(maxsize=1024)",
+             "@functools.lru_cache(maxsize=None)", (_MEMO,)),
+    # Power-of-two scaling of a turn.
+    Mutation("times-pow2-clamp", "qabacus/turns.py",
+             "k = max(self._denom_exponent - exponent, 0)",
+             "k = self._denom_exponent - exponent", _POW2),
+    Mutation("times-pow2-shift", "qabacus/turns.py",
+             "k = max(self._denom_exponent - exponent, 0)",
+             "k = max(self._denom_exponent - exponent - 1, 0)", _POW2),
 )
 
 

@@ -6,8 +6,15 @@ basis index throughout.  Phase gates carry their angle as an exact
 ``Turn`` and take ``Control`` objects as controls, each positive
 (closed-dot) or negative (open-dot) by a bool; a phase applies iff every
 control matches its polarity and the target bit is 1.
+
+Each gate also keeps its highest qubit, ``_top``, outside its fields, so
+a circuit checks its width without rebuilding the gate's qubit tuple.
+The bit-pattern control tuples the builders share are memoized with a
+fixed bound: a phase estimator asks for one tuple per input pattern, and
+an unbounded memo would keep every width's 2**n tuples alive.
 """
 
+import functools
 import operator
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -65,11 +72,13 @@ class Control:
         object.__setattr__(self, "positive", positive)
 
 
+@functools.lru_cache(maxsize=1024)
 def _pattern_controls(match: int, first: int, width: int,
                       mask: int = -1) -> tuple[Control, ...]:
     """The controls that select qubits first..first+width-1 holding the
     bits of ``match`` where ``mask`` has a 1: most significant first, a
-    closed dot for each 1-bit and an open dot for each 0-bit."""
+    closed dot for each 1-bit and an open dot for each 0-bit.  Pure and
+    immutable, so callers share one memoized tuple per pattern."""
     return tuple(Control(first + b, positive=bool((match >> b) & 1))
                  for b in range(width - 1, -1, -1) if (mask >> b) & 1)
 
@@ -83,6 +92,7 @@ class _OneQubitGate:
 
     def __init__(self, target: int):
         object.__setattr__(self, "target", _check_int(target, "target", 0))
+        object.__setattr__(self, "_top", self.target)
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -121,6 +131,7 @@ class Phase:
         qubits = [c.qubit for c in controls] + [self.target]
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"controls and target must be distinct, got {qubits}")
+        object.__setattr__(self, "_top", max(qubits))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -137,6 +148,7 @@ class Swap:
         object.__setattr__(self, "b", _check_int(b, "swap operand", 0))
         if self.a == self.b:
             raise ValueError(f"swap operands must differ, got {self.a}")
+        object.__setattr__(self, "_top", max(self.a, self.b))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -179,10 +191,9 @@ class Circuit:
         for g in self.gates:
             if not isinstance(g, (Hadamard, X, Phase, Swap)):
                 raise ValueError(f"not a gate: {g!r}")
-            worst = max(g.qubits)
-            if worst >= self.num_qubits:
+            if g._top >= self.num_qubits:
                 raise ValueError(
-                    f"gate {g!r} touches qubit {worst} but circuit has "
+                    f"gate {g!r} touches qubit {g._top} but circuit has "
                     f"{self.num_qubits} qubits")
 
     @classmethod
@@ -321,10 +332,9 @@ def parse(text: str) -> Circuit:
             raise
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
-        worst = max(gate.qubits)
-        if worst >= num_qubits:
+        if gate._top >= num_qubits:
             raise ParseError(
-                lineno, f"qubit {worst} out of range for {num_qubits} qubits")
+                lineno, f"qubit {gate._top} out of range for {num_qubits} qubits")
         gates.append(gate)
     if num_qubits is None:
         raise ParseError(1, "empty input: missing 'qubits N' header")

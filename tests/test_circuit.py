@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from qabacus import (
     build_qft_phase_estimator, build_update_add, count_phase_table,
     gate_count_report, invert, lower_negative_controls, parse, serialize,
 )
+from qabacus.circuit import _pattern_controls
 from qabacus.turns import DyadicTurn, Turn
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -67,6 +69,50 @@ def test_circuit_rejects_out_of_range_gates():
         Circuit(0, ())
     with pytest.raises(ValueError):
         Circuit(1, (Hadamard(0),), labels=((2, "late"),))
+
+
+_QUARTER = DyadicTurn(1, 2)
+
+
+@pytest.mark.parametrize("gate", [
+    Hadamard(2), X(2), Phase(_QUARTER, 2),
+    Phase(_QUARTER, 0, (Control(2),)),
+    Phase(_QUARTER, 1, (Control(2, positive=False), Control(0))),
+    Swap(2, 0), Swap(0, 2),
+], ids=["h", "x", "phase-target", "phase-control", "phase-open-control",
+        "swap-a", "swap-b"])
+def test_circuit_width_covers_every_qubit_of_a_gate(gate):
+    # Qubit 2 is past a 2-qubit circuit whichever role it plays.
+    with pytest.raises(ValueError, match="^gate .* touches qubit 2 but "
+                                         "circuit has 2 qubits$"):
+        Circuit(2, (gate,))
+    text = serialize(Circuit(3, (gate,)))
+    with pytest.raises(ParseError, match="^line 2: qubit 2 out of range for "
+                                         "2 qubits$"):
+        parse(text.replace("qubits 3", "qubits 2"))
+    assert parse(text).gates == (gate,)
+    # The stored top qubit is no field: equality and text ignore it.
+    assert "_top" not in repr(gate)
+    assert "_top" not in {f.name for f in fields(gate)}
+
+
+def test_pattern_controls_memo_is_bounded_and_exact():
+    assert _pattern_controls.cache_info().maxsize is not None
+    # Most significant bit first; a closed dot for each 1-bit.
+    assert _pattern_controls(0b101, 2, 3) == (
+        Control(4), Control(3, positive=False), Control(2))
+    assert _pattern_controls(0b100, 2, 3, 0b110) == (
+        Control(4), Control(3, positive=False))
+    fresh = _pattern_controls.__wrapped__
+    for args in [(0b101, 2, 3), (6, 0, 4, 0b0110), (0, 5, 2), (3, 1, 2, 0)]:
+        for key in (args, tuple(np.int64(a) for a in args)):
+            _pattern_controls(*key)
+            hits = _pattern_controls.cache_info().hits
+            hit = _pattern_controls(*key)
+            assert _pattern_controls.cache_info().hits == hits + 1
+            assert hit == fresh(*args) == fresh(*key)
+            assert all(type(c.qubit) is int and type(c.positive) is bool
+                       for c in hit)
 
 
 def test_invert_examples():
