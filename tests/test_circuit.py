@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -113,6 +115,36 @@ def test_pattern_controls_memo_is_bounded_and_exact():
             assert hit == fresh(*args) == fresh(*key)
             assert all(type(c.qubit) is int and type(c.positive) is bool
                        for c in hit)
+
+
+def test_pattern_controls_memo_under_threads():
+    # More keys than the memo holds, so threads evict each other's
+    # entries while they read; every tuple must still be the right one.
+    keys = [(j, 1, 11) for j in range(1500)]
+    expected = [_pattern_controls.__wrapped__(*key) for key in keys]
+    table = count_phase_table(4)
+    estimator = serialize(build_phase_estimator(table, 3))
+    wrong = []
+
+    def work():
+        for _ in range(2):
+            wrong.extend(key for key, want in zip(keys, expected)
+                         if _pattern_controls(*key) != want)
+            if serialize(build_phase_estimator(table, 3)) != estimator:
+                wrong.append("estimator")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_invert_examples():
