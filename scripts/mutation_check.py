@@ -43,9 +43,14 @@ _NAMED = _TESTS + "test_named_rules"
 _CASES = _TESTS + "test_named_cases_go_dense_and_match"
 _SPLITS = _TESTS + "test_split_rules"
 _CHAINS = _TESTS + "test_array_chains_track_and_match_dense_loop"
+_EXIT = _TESTS + "test_one_branch_stops_at_the_first_failed_bit_control"
+_ESTIMATORS = (_TESTS + "test_estimators_run_tracked",
+               "tests/test_phase_estimation.py::"
+               "test_estimator_reads_out_eigenphase_index")
 _CIRCUIT = "qabacus/circuit.py"
 _WIDTH = "tests/test_circuit.py::test_circuit_width_covers_every_qubit_of_a_gate"
 _MEMO = "tests/test_circuit.py::test_pattern_controls_memo_is_bounded_and_exact"
+_SHARED = "tests/test_circuit.py::test_serialize_formats_shared_control_tuples_exactly"
 _POW2 = ("tests/test_turns.py::test_times_pow2_principal_value",
          "tests/test_turns.py::test_dyadic_times_pow2_matches_fraction")
 
@@ -67,6 +72,9 @@ MUTATIONS = (
              "if _any(th & (_HALF - 1)):", "if False:", (_CASES,)),
     Mutation("failed-bit-condition", _TRACKING,
              "if (index & mask) != match:", "if False:", (_NAMED,)),
+    Mutation("early-exit-polarity", _TRACKING,
+             "if one and (index >> q & 1) != c.positive:",
+             "if one and (index >> q & 1) == c.positive:", (_NAMED, _EXIT)),
     Mutation("end-check", _TRACKING,
              "        if th is not None:\n            raise NotRepresentable",
              "        if False:\n            raise NotRepresentable",
@@ -93,8 +101,7 @@ MUTATIONS = (
              "if last[0] is not index:", (_CHAINS,)),
     # The gate and circuit model.
     Mutation("phase-top-from-target", _CIRCUIT,
-             'object.__setattr__(self, "_top", max(qubits))',
-             'object.__setattr__(self, "_top", self.target)', (_WIDTH,)),
+             "_top=max(qubits))", "_top=target)", (_WIDTH,)),
     Mutation("swap-top-from-a", _CIRCUIT,
              'object.__setattr__(self, "_top", max(self.a, self.b))',
              'object.__setattr__(self, "_top", self.a)', (_WIDTH,)),
@@ -104,6 +111,20 @@ MUTATIONS = (
     Mutation("unbounded-pattern-memo", _CIRCUIT,
              "@functools.lru_cache(maxsize=1024)",
              "@functools.lru_cache(maxsize=None)", (_MEMO,)),
+    Mutation("serialize-memo-key", _CIRCUIT,
+             "key = id(gate.controls)", "key = len(gate.controls)", (_SHARED,)),
+    # The generic estimator's kickback powers.
+    Mutation("kickback-power-shift", "qabacus/phase_estimation.py",
+             "(power := phase.times_pow2(l))", "(power := phase.times_pow2(l + 1))",
+             _ESTIMATORS),
+    # Readout and the state file.
+    Mutation("readout-bit-order", "qabacus/statevector.py",
+             "((index >> q) & 1) << bit", "((index >> q) & 1) << q",
+             ("tests/test_basis_form.py::test_readout_is_the_same_in_both_forms",)),
+    Mutation("save-ignores-phases", "qabacus/cli.py",
+             "(branches.amp != 1 or np.any(branches.phase))",
+             "branches.amp != 1",
+             ("tests/test_cli.py::test_save_refuses_a_state_with_phases",)),
     # Power-of-two scaling of a turn.
     Mutation("times-pow2-clamp", "qabacus/turns.py",
              "k = max(self._denom_exponent - exponent, 0)",

@@ -16,7 +16,6 @@ an unbounded memo would keep every width's 2**n tuples alive.
 
 import functools
 import operator
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -121,17 +120,19 @@ class Phase:
                  controls: tuple[Control, ...] = ()):
         if not isinstance(turn, Turn):
             raise ValueError(f"turn must be a Turn, got {turn!r}")
-        object.__setattr__(self, "turn", turn)
-        object.__setattr__(self, "target", _check_int(target, "target", 0))
+        target = _check_int(target, "target", 0)
         controls = tuple(controls)
+        qubits = []
         for c in controls:
             if not isinstance(c, Control):
                 raise ValueError(f"not a control: {c!r}")
-        object.__setattr__(self, "controls", controls)
-        qubits = [c.qubit for c in controls] + [self.target]
+            qubits.append(c.qubit)
+        qubits.append(target)
         if len(set(qubits)) != len(qubits):
             raise ValueError(f"controls and target must be distinct, got {qubits}")
-        object.__setattr__(self, "_top", max(qubits))
+        # The dataclass is frozen: store the fields and the top qubit at once.
+        self.__dict__.update(turn=turn, target=target, controls=controls,
+                             _top=max(qubits))
 
     @property
     def qubits(self) -> tuple[int, ...]:
@@ -271,29 +272,36 @@ _PLAIN_GATES = {
 _PLAIN_KINDS = {cls: kind for kind, (cls, _, _) in _PLAIN_GATES.items()}
 
 
-def _format_gate(gate: Gate) -> str:
+def _format_gate(gate: Gate, controls: dict[int, str]) -> str:
+    """One gate line.  ``controls`` memoizes each control tuple's text by
+    the tuple's ``id``, so the caller keeps every keyed tuple alive while
+    it uses the dict, as a circuit does for its gates' tuples."""
     if not isinstance(gate, Phase):
         return " ".join([_PLAIN_KINDS[type(gate)], *map(str, gate.qubits)])
-    parts = ["P", format_turn(gate.turn)]
-    parts.extend(f"{'+' if c.positive else '-'}{c.qubit}" for c in gate.controls)
-    parts.append("->")
-    parts.append(str(gate.target))
-    return " ".join(parts)
+    key = id(gate.controls)
+    text = controls.get(key)
+    if text is None:
+        text = controls[key] = "".join(
+            f"{'+' if c.positive else '-'}{c.qubit} " for c in gate.controls)
+    return f"P {format_turn(gate.turn)} {text}-> {gate.target}"
 
 
 def serialize(circuit: Circuit) -> str:
     """Canonical text form: a 'qubits N' header, then one gate per line.
 
     Labels appear as '# text' comment lines before the gate they mark.
+    Builders share one control tuple across many gates, so each tuple's
+    text is made once per call.
     """
-    by_pos = defaultdict(list)
-    for pos, text in circuit.labels:
-        by_pos[pos].append(text)
+    gates = circuit.gates
+    controls: dict[int, str] = {}
     lines = [f"qubits {circuit.num_qubits}"]
-    for i, g in enumerate(circuit.gates):
-        lines.extend(f"# {t}" for t in by_pos.get(i, ()))
-        lines.append(_format_gate(g))
-    lines.extend(f"# {t}" for t in by_pos.get(len(circuit.gates), ()))
+    done = 0
+    for pos, text in circuit.labels:  # sorted by position
+        lines.extend(_format_gate(g, controls) for g in gates[done:pos])
+        lines.append(f"# {text}")
+        done = pos
+    lines.extend(_format_gate(g, controls) for g in gates[done:])
     return "\n".join(lines) + "\n"
 
 

@@ -73,18 +73,18 @@ def diagonal_power(table: PhaseTable, l: int) -> PhaseTable:
 def build_phase_estimator(table: PhaseTable, m: int) -> Circuit:
     """Phase estimator with m ancillas over the table's diagonal unitary.
 
-    Each controlled power is lowered to one multi-controlled phase gate
-    per basis state with a nonzero principal phase: the ancilla is the
-    target and the input bit pattern forms the controls (open dots for
-    0-bits).  Exponential in n but exact; structured circuits such as
-    the counter avoid this generic lowering.
+    Controlled power 2**l is lowered to one multi-controlled phase gate
+    per basis state j whose principal phase ``phases[j].times_pow2(l)``
+    is nonzero: ancilla l is the target and the bit pattern of j forms
+    the controls (open dots for 0-bits).  Exponential in n but exact;
+    structured circuits such as the counter avoid this generic lowering.
     """
     n = table.num_input_qubits
     m = _check_int(m, "ancilla count", 1)
-    kickback = (Phase(phase, n + l, _pattern_controls(j, 0, n))
+    kickback = (Phase(power, n + l, _pattern_controls(j, 0, n))
                 for l in range(m)
-                for j, phase in enumerate(diagonal_power(table, l).phases)
-                if not phase.is_zero())
+                for j, phase in enumerate(table.phases)
+                if not (power := phase.times_pow2(l)).is_zero())
     ancillas = range(n, n + m)
     return _phase_frame(n + m, ancillas, [("kickback", kickback)], ancillas)
 

@@ -110,13 +110,20 @@ def track(circuit: Circuit, index, phase=0):
             # index matches ``match`` under ``mask``.
             mask = match = 0
             superposed = []
+            # One branch stops at its first failed bit control.
+            one, failed = isinstance(index, int), False
             for c in gate.controls:
                 q = c.qubit
                 if theta[q] is None:
+                    if one and (index >> q & 1) != c.positive:
+                        failed = True
+                        break
                     mask |= 1 << q
                     match |= c.positive << q
                 else:
                     superposed.append(c)
+            if failed:
+                continue  # the gate is the identity
             t = gate.target
             if theta[t] is None:
                 mask |= 1 << t

@@ -196,6 +196,40 @@ def test_serialize_examples():
     assert line.splitlines()[1] == "P 5/8 +2 -> 0"
 
 
+def test_serialize_formats_shared_control_tuples_exactly():
+    # serialize formats each control tuple once per call, keyed by the
+    # tuple's identity: a shared tuple, an equal tuple built apart and a
+    # different tuple of the same length must each get their own text.
+    shared = (Control(4), Control(0, False))
+    equal = (Control(4), Control(0, False))
+    other = (Control(1), Control(2, False))
+    gates = (Hadamard(3),
+             Phase(DyadicTurn(1, 2), 3, shared),
+             Phase(DyadicTurn(3, 3), 2, shared),
+             Phase(Turn(0.1), 1, shared),
+             Phase(DyadicTurn(1, 1), 3, equal),
+             Phase(DyadicTurn(5, 4), 3, other),
+             Phase(DyadicTurn(1, 4), 2),
+             Swap(0, 4), X(1))
+    assert gates[1].controls is gates[3].controls
+    assert gates[4].controls == shared and gates[4].controls is not shared
+    labels = ((0, "start"), (3, "middle"), (3, "again"), (len(gates), "end"))
+    circuit = Circuit(5, gates, labels=labels)
+    # Each gate line is the one-gate circuit's line.
+    want = ["qubits 5"]
+    for i, g in enumerate(gates):
+        want += [f"# {t}" for pos, t in labels if pos == i]
+        want.append(serialize(Circuit(5, (g,))).splitlines()[1])
+    want.append("# end")
+    text = serialize(circuit)
+    assert text.splitlines() == want
+    assert want[3:6] == ["P 1/4 +4 -0 -> 3", "P 3/8 +4 -0 -> 2",
+                         "# middle"]
+    assert "P 5/16 +1 -2 -> 3" in want and "P 1/16 -> 2" in want
+    back = parse(text)
+    assert back == circuit and back.labels == circuit.labels
+
+
 def test_parse_negative_control():
     c = parse("qubits 2\nP 1/2 -1 -> 0\n")
     assert c == Circuit(2, (Phase(DyadicTurn(1, 1), 0,

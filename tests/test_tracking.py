@@ -179,6 +179,12 @@ def test_named_rules():
     c = Circuit(2, (Hadamard(0), Phase(Turn(0.1), 0, (Control(1),)),
                     Hadamard(0)))
     assert _tracked(c, 0b00) == (0b00, DyadicTurn(0, 0))
+    # So does a target bit of 0, under satisfied or superposed controls.
+    c = Circuit(2, (Phase(quarter, 1, (Control(0),)),))
+    assert _tracked(c, 0b01) == (0b01, DyadicTurn(0, 0))
+    c = Circuit(2, (Hadamard(0), Phase(quarter, 1, (Control(0),)),
+                    Hadamard(0)))
+    assert _tracked(c, 0b00) == (0b00, DyadicTurn(0, 0))
     # Swap exchanges a bit slot and a phase slot.
     c = Circuit(2, (Hadamard(0), Swap(0, 1), Hadamard(1)))
     assert _tracked(c, 0b11) == (0b11, DyadicTurn(0, 0))
@@ -221,6 +227,31 @@ def test_split_rules(dense_gates):
     again = apply_circuit(state, _SPLIT_QUARTER)
     assert len(dense_gates) == len(_SPLIT_QUARTER.gates)
     assert np.max(np.abs(again.amplitudes - _dense_loop(twice, 0))) <= 1e-12
+
+
+def test_one_branch_stops_at_the_first_failed_bit_control(dense_gates):
+    # Qubits 0 and 1 superposed, qubit 2 a 0-bit, target qubit 3 a 1-bit.
+    # A closed dot on qubit 2 fails before or after the superposed
+    # controls: the gate is the identity, with no split and no phase.
+    quarter = DyadicTurn(1, 2)
+    basis = 0b1000
+    for controls in ((Control(0), Control(1), Control(2)),
+                     (Control(2), Control(0), Control(1))):
+        c = Circuit(4, (Hadamard(0), Hadamard(1), Phase(quarter, 3, controls),
+                        Hadamard(0), Hadamard(1)))
+        assert _tracked(c, basis) == (basis, DyadicTurn(0, 0))
+        _check_tracked(c, basis)
+    # An open dot on qubit 2 is satisfied: the two superposed controls
+    # still split into four branches, and only the |11> one turns.
+    c = Circuit(4, (Hadamard(0), Hadamard(1),
+                    Phase(quarter, 3, (Control(0), Control(2, False),
+                                       Control(1)))))
+    index, phase = track(c, basis)
+    assert index.tolist() == [basis, basis | 1, basis | 2, basis | 3]
+    assert phase.tolist() == [0, 0, 0, 1 << (MAX_DYADIC_EXPONENT - 2)]
+    state = apply_circuit(new_basis_state(4, basis), c)
+    assert dense_gates == []
+    assert np.max(np.abs(state.amplitudes - _dense_loop(c, basis))) <= 1e-12
 
 
 @pytest.mark.parametrize("circuit, basis", [
