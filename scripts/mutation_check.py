@@ -71,7 +71,7 @@ MUTATIONS = (
     Mutation("any-theta-at-h", _TRACKING,
              "if _any(th & (_HALF - 1)):", "if False:", (_CASES,)),
     Mutation("failed-bit-condition", _TRACKING,
-             "if (index & mask) != match:", "if False:", (_NAMED,)),
+             "if one and not index >> t & 1:", "if False:", (_NAMED,)),
     Mutation("early-exit-polarity", _TRACKING,
              "if one and (index >> q & 1) != c.positive:",
              "if one and (index >> q & 1) == c.positive:", (_NAMED, _EXIT)),
@@ -87,6 +87,11 @@ MUTATIONS = (
              "(glob + th) & _MASK", "glob & _MASK", (_SPLITS,)),
     Mutation("split-scale", "qabacus/statevector.py",
              "(amp / math.sqrt(index.size))", "amp", (_SPLITS, _CHAINS)),
+    Mutation("branches-distinct", "qabacus/statevector.py",
+             "if (ordered[1:] == ordered[:-1]).any():\n        raise ValueError",
+             "if False:\n        raise ValueError",
+             ("tests/test_basis_form.py::"
+              "test_branch_form_refuses_malformed_arrays",)),
     Mutation("split-control-polarity", _TRACKING,
              "match |= c.positive << c.qubit", "pass", (_SPLITS, _CHAINS)),
     Mutation("hadamard-on-split-qubit", _TRACKING,
@@ -103,8 +108,7 @@ MUTATIONS = (
     Mutation("phase-top-from-target", _CIRCUIT,
              "_top=max(qubits))", "_top=target)", (_WIDTH,)),
     Mutation("swap-top-from-a", _CIRCUIT,
-             'object.__setattr__(self, "_top", max(self.a, self.b))',
-             'object.__setattr__(self, "_top", self.a)', (_WIDTH,)),
+             "_top=max(a, b))", "_top=a)", (_WIDTH,)),
     Mutation("pattern-polarity", _CIRCUIT,
              "positive=bool((match >> b) & 1)",
              "positive=not (match >> b) & 1", (_MEMO,)),
@@ -125,6 +129,15 @@ MUTATIONS = (
              "(branches.amp != 1 or np.any(branches.phase))",
              "branches.amp != 1",
              ("tests/test_cli.py::test_save_refuses_a_state_with_phases",)),
+    Mutation("state-values-list", "qabacus/cli.py",
+             "if not isinstance(values, list):", "if False:",
+             ("tests/test_cli.py::test_array_rejects_corrupt_state_files",)),
+    Mutation("state-zip-hint", "qabacus/cli.py",
+             "if data.startswith(_ZIP_START):", "if False:",
+             ("tests/test_cli.py::test_array_rejects_old_amplitude_state",)),
+    Mutation("state-size-bound", "qabacus/cli.py",
+             "if len(data) > limit:", "if False:",
+             ("tests/test_cli.py::test_state_file_size_bound",)),
     # Power-of-two scaling of a turn.
     Mutation("times-pow2-clamp", "qabacus/turns.py",
              "k = max(self._denom_exponent - exponent, 0)",

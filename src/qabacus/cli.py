@@ -6,7 +6,7 @@ Exit codes: 0 ok, 2 usage or input error, 3 determinism violation.
 
 Every integer argument is ASCII ``-?[0-9]+``, the one integer text that
 circuit text reads too.  The array commands keep the array in a
-values-only ``.npz`` state file: the layout and one value per index.
+values-only JSON state file: the layout and one value per index.
 """
 
 import argparse
@@ -19,6 +19,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
+from . import statevector
 from .circuit import Circuit, ParseError, gate_count_report, serialize
 from .counting import CountTarget, _check_bits, _read_count, build_counter
 from .encoding import build_encoder, decode_register, fourier_phase
@@ -32,11 +33,10 @@ from .turns import _int_from_text, format_turn
 
 __all__ = ["main"]
 
-DEFAULT_STATE_FILE = "qarray.npz"
+DEFAULT_STATE_FILE = "qarray.json"
 
-# Every state file of the JSON format began with these bytes.
-_JSON_STATE_START = b'{"index_qubits"'
-# Every .npz archive begins with a zip local file header.
+# Both earlier binary formats were .npz archives, each beginning with a
+# zip local file header.
 _ZIP_START = b"PK\x03\x04"
 
 _GATE_KEY_ORDER = ("cphase", "h", "phase", "swap", "x", "total")
@@ -125,14 +125,14 @@ def _save_state(path: str, layout: ArrayLayout, state: StateVector,
         raise ValueError("the array state carries phases, which a values-only "
                          "state file cannot hold")
     # Write a sibling file and rename it over the old one, so a failed
-    # write never leaves a half-written state file behind.  np.savez gets
-    # the open handle: given a path, it would append ".npz" to the name.
+    # write never leaves a half-written state file behind.
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, index_qubits=layout.index_qubits,
-                     data_qubits=layout.data_qubits,
-                     values=np.array(contents.values, dtype=np.uint64))
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump({"index_qubits": layout.index_qubits,
+                       "data_qubits": layout.data_qubits,
+                       "values": contents.values}, fh)
+            fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -140,59 +140,49 @@ def _save_state(path: str, layout: ArrayLayout, state: StateVector,
         raise
 
 
-def _layout_field(payload, key: str) -> int:
-    field = payload[key]
-    if field.shape != () or field.dtype.kind not in "iu":
-        raise ValueError(f"{key} must be an integer scalar, got "
-                         f"{field.dtype} of shape {field.shape}")
-    return field.item()
-
-
 def _load_state(path: str) -> tuple[ArrayLayout, StateVector]:
-    import zipfile
-
-    import numpy as np
+    # The longest file _save_state writes: 2**(cap - 1) one-digit values,
+    # each with its ", ", plus the keys.  Parsing a list of ints takes far
+    # more memory than its text, so nothing longer is parsed.
+    limit = (3 << (statevector.MAX_QUBITS - 1)) + 64
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         raise ValueError(
             f"no array state at {path!r}; run 'array create' first") from None
     with fh:
-        head = fh.read(len(_JSON_STATE_START))
-        if head == _JSON_STATE_START:
-            raise ValueError(
-                f"{path!r} is an old JSON state file; re-run 'array create' "
-                "to write the binary format")
-        fh.seek(0)
-        try:
-            # np.load reads anything else as a bare array or a pickle.
-            if not head.startswith(_ZIP_START):
-                raise ValueError("not an .npz archive")
-            with np.load(fh, allow_pickle=False) as payload:
-                if "amplitudes" in payload.files \
-                        and "values" not in payload.files:
-                    layout = None
-                else:
-                    layout = ArrayLayout(_layout_field(payload, "index_qubits"),
-                                         _layout_field(payload, "data_qubits"))
-                    values = payload["values"]
-            if layout is not None:
-                if values.dtype != np.uint64 or values.ndim != 1:
-                    raise ValueError(
-                        f"values must be a 1-D uint64 array, got {values.dtype} "
-                        f"of shape {values.shape}")
-                state = _array_state(ArrayContents(tuple(values.tolist())),
-                                     layout)
-        # zipfile raises the odd ones on damaged headers, e.g. a flipped
-        # version, compression or encryption field, or a bad offset; numpy
-        # allocates the shape an array header claims before reading it.
-        except (EOFError, KeyError, MemoryError, NotImplementedError, OSError,
-                RuntimeError, ValueError, zipfile.BadZipFile) as exc:
-            raise ValueError(f"corrupt state file {path!r}: {exc}") from None
-    if layout is None:
+        # read(n) allocates n bytes up front, so ask for no more than the
+        # file holds; a special file reports size 0 and gets one byte.
+        data = fh.read(min(os.fstat(fh.fileno()).st_size, limit) + 1)
+    if data.startswith(_ZIP_START):
         raise ValueError(
-            f"{path!r} is an amplitude state file of an older version; "
-            "re-run 'array create' to write the values format")
+            f"{path!r} is a zip state file of an older version; re-run "
+            "'array create' to write the JSON format")
+    try:
+        if len(data) > limit:
+            raise ValueError(f"longer than {limit} bytes, the largest state "
+                             "a valid layout makes")
+        blob = json.loads(data)
+        if not isinstance(blob, dict):
+            raise ValueError(f"not a JSON object: {type(blob).__name__}")
+        old = "amplitudes" in blob and "values" not in blob
+        if not old:
+            layout = ArrayLayout(blob["index_qubits"], blob["data_qubits"])
+            values = blob["values"]
+            if not isinstance(values, list):
+                raise ValueError(
+                    f"values must be a list, got {type(values).__name__}")
+            state = _array_state(ArrayContents(tuple(values)), layout)
+    except KeyError as exc:
+        raise ValueError(
+            f"corrupt state file {path!r}: missing key {exc}") from None
+    # Deep nesting exhausts the parser's recursion.
+    except (MemoryError, RecursionError, ValueError) as exc:
+        raise ValueError(f"corrupt state file {path!r}: {exc}") from None
+    if old:
+        raise ValueError(
+            f"{path!r} is an old JSON state file; re-run 'array create' "
+            "to write the values format")
     return layout, state
 
 

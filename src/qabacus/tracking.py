@@ -107,11 +107,17 @@ def track(circuit: Circuit, index, phase=0):
         if isinstance(gate, Phase):
             # A diagonal gate: the controls and the target are all
             # conditions.  Bit conditions hold on the branches whose
-            # index matches ``match`` under ``mask``.
-            mask = match = 0
-            superposed = []
-            # One branch stops at its first failed bit control.
+            # index matches ``match`` under ``mask``.  One branch stops at
+            # its first failed bit condition, the target first: the gate
+            # is then the identity.
             one, failed = isinstance(index, int), False
+            t = gate.target
+            mask = match = 0
+            if theta[t] is None:
+                if one and not index >> t & 1:
+                    continue
+                mask = match = 1 << t
+            superposed = []
             for c in gate.controls:
                 q = c.qubit
                 if theta[q] is None:
@@ -123,23 +129,14 @@ def track(circuit: Circuit, index, phase=0):
                 else:
                     superposed.append(c)
             if failed:
-                continue  # the gate is the identity
-            t = gate.target
-            if theta[t] is None:
-                mask |= 1 << t
-                match |= 1 << t
+                continue
             hit = True
-            if mask:
-                if isinstance(index, int):
-                    # A failed bit condition: the gate is the identity.
-                    if (index & mask) != match:
-                        continue
-                else:
-                    if last[0] is not index or last[1:3] != (mask, match):
-                        last = (index, mask, match, _where(index, mask, match))
-                    hit = last[3]
-                    if hit is None:
-                        continue  # failed on every branch
+            if mask and not one:
+                if last[0] is not index or last[1:3] != (mask, match):
+                    last = (index, mask, match, _where(index, mask, match))
+                hit = last[3]
+                if hit is None:
+                    continue  # failed on every branch
             if superposed and (len(superposed) > 1 or theta[t] is not None):
                 if n > 63:
                     raise NotRepresentable(

@@ -100,6 +100,29 @@ def test_basis_form_checks_width_index_and_accepts_the_tolerance():
     assert str(err.value) == "register width must be in [1, 24] qubits, got 25"
 
 
+_I64 = np.int64
+
+
+@pytest.mark.parametrize("index, phase, text", [
+    (np.array([0, 1], dtype=np.int32), np.zeros(2, _I64),
+     "branch form needs two int64 arrays of 2[*][*]s > 1 entries"),
+    (np.array([0, 1], _I64), np.zeros(4, _I64), "branch form needs"),
+    (np.array([1], _I64), np.zeros(1, _I64), "branch form needs"),
+    (np.array([0, 1, 2], _I64), np.zeros(3, _I64), "branch form needs"),
+    (np.array([-1, 1], _I64), np.zeros(2, _I64),
+     "branch index out of range for 2 qubits"),
+    (np.array([0, 4], _I64), np.zeros(2, _I64), "branch index out of range"),
+    (np.array([0, 1], _I64), np.array([0, 1 << 52], _I64),
+     "branch phase out of range"),
+    (np.array([2, 2], _I64), np.zeros(2, _I64),
+     "branch indices must be distinct"),
+], ids=["int32", "shape-mismatch", "one-branch", "three-branches",
+        "negative-index", "index-out-of-range", "phase-2**52", "duplicates"])
+def test_branch_form_refuses_malformed_arrays(index, phase, text):
+    with pytest.raises(ValueError, match=f"^{text}"):
+        StateVector(2, _Branches(index, 1.0, phase))
+
+
 def test_distributions_and_samples_agree_between_forms():
     basis, dense = _both_forms(4, 0b1001, cmath.exp(1.1j))
     assert np.array_equal(basis.probabilities(), dense.probabilities())

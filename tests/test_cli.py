@@ -1,9 +1,7 @@
 import io
 import json
 import os
-import pickle
 import random
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qabacus import ArrayContents, ArrayLayout, Circuit, StateVector, \
-    build_counter, create_state, read_all, serialize
+    build_counter, create_state, read_all, serialize, statevector
 from qabacus.cli import _load_state, _save_state, main
 from qabacus.statevector import _Branches
 
@@ -236,42 +234,41 @@ def test_array_missing_state_file(capsys, tmp_path):
     assert "array create" in err
 
 
-def write_state(path, **arrays):
-    """A hand-written state file with the given arrays."""
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+def write_state(path, **fields):
+    """A hand-written state file: one JSON object of the given fields."""
+    Path(path).write_text(json.dumps(fields) + "\n")
 
 
 def test_array_dump_detects_malformed_state(capsys, tmp_path):
     # a hand-written state whose value needs more than its data qubits
-    state = tmp_path / "broken.npz"
-    write_state(state, index_qubits=1, data_qubits=1,
-                values=np.array([0, 2], dtype=np.uint64))
+    state = tmp_path / "broken.json"
+    write_state(state, index_qubits=1, data_qubits=1, values=[0, 2])
     code, out, err = run_cli(capsys, "array", "dump", "--state", str(state))
     assert code == 2 and out == ""
     assert "value 2 at index 1 does not fit in 1 data qubits" in err
 
 
 def test_array_dump_rejects_non_finite_state(capsys, tmp_path):
-    state = tmp_path / "nan.npz"
+    state = tmp_path / "nan.json"
     write_state(state, index_qubits=1, data_qubits=1,
-                values=np.full(2, float("nan")))
+                values=[float("nan"), 0])
+    assert "[NaN, 0]" in state.read_text()
     code, out, err = run_cli(capsys, "array", "dump", "--state", str(state))
     assert code == 2 and out == ""
-    assert "values must be a 1-D uint64 array, got float64" in err
+    assert "value must be an integer, got nan" in err
 
 
 def test_array_rejects_old_amplitude_state(capsys, tmp_path):
     state = tmp_path / "old.npz"
     amps = np.zeros(4, dtype=np.complex128)
     amps[[0, 3]] = 2 ** -0.5
-    write_state(state, index_qubits=1, data_qubits=1, amplitudes=amps)
+    np.savez(state, index_qubits=1, data_qubits=1, amplitudes=amps)
     for argv in (["dump"], ["add", "1"]):
         code, out, err = run_cli(capsys, "array", *argv, "--state", str(state))
         assert code == 2 and out == "", argv
-        assert err == (f"error: {str(state)!r} is an amplitude state file of "
-                       "an older version; re-run 'array create' to write the "
-                       "values format\n")
+        assert err == (f"error: {str(state)!r} is a zip state file of an "
+                       "older version; re-run 'array create' to write the "
+                       "JSON format\n")
 
 
 def test_save_refuses_a_state_with_phases(tmp_path):
@@ -290,21 +287,21 @@ def test_save_refuses_a_state_with_phases(tmp_path):
 
 def test_array_add_failed_write_keeps_old_state(capsys, tmp_path,
                                                  monkeypatch):
-    state = tmp_path / "array.npz"
+    state = tmp_path / "array.json"
     run_cli(capsys, "array", "create", "1,2,0,5", "-p", "3",
             "--state", str(state))
     before = state.read_bytes()
 
-    def failing_savez(fh, **arrays):
-        fh.write(before[:100])
+    def failing_dump(obj, fh, **kwargs):
+        fh.write(before[:20].decode())
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(np, "savez", failing_savez)
+    monkeypatch.setattr(json, "dump", failing_dump)
     code, _, err = run_cli(capsys, "array", "add", "1", "--state", str(state))
     monkeypatch.undo()
     assert code == 2 and "No space left" in err
     assert state.read_bytes() == before
-    assert sorted(os.listdir(tmp_path)) == ["array.npz"]
+    assert sorted(os.listdir(tmp_path)) == ["array.json"]
     code, out, _ = run_cli(capsys, "array", "dump", "--state", str(state))
     assert code == 0 and out == "[1,2,0,5]\n"
 
@@ -326,16 +323,13 @@ def test_state_file_round_trip_is_bit_exact(tmp_path):
     assert loaded.amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
-def test_array_default_state_file_is_npz(capsys, tmp_path, monkeypatch):
+def test_array_default_state_file_is_json(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, _ = run_cli(capsys, "array", "create", "1,2", "-p", "2")
     assert code == 0
-    assert os.listdir(tmp_path) == ["qarray.npz"]
-    with np.load(tmp_path / "qarray.npz", allow_pickle=False) as payload:
-        assert sorted(payload.files) == ["data_qubits", "index_qubits",
-                                         "values"]
-        assert payload["values"].dtype == np.uint64
-        assert payload["values"].tolist() == [1, 2]
+    assert os.listdir(tmp_path) == ["qarray.json"]
+    assert json.loads((tmp_path / "qarray.json").read_text()) == {
+        "index_qubits": 1, "data_qubits": 2, "values": [1, 2]}
 
 
 def test_array_rejects_old_json_state(capsys, tmp_path):
@@ -352,44 +346,54 @@ def test_array_rejects_old_json_state(capsys, tmp_path):
 
 
 def _corrupt_states(good: bytes):
-    values = np.array([1, 0], dtype=np.uint64)
+    """(name, content, a text its error holds): content is the file's
+    bytes or the fields of a JSON object."""
     layout = {"index_qubits": 1, "data_qubits": 1}
-    yield "truncated", good[:len(good) // 2]
-    yield "random", np.random.default_rng(3).bytes(256)
-    yield "empty", b""
-    yield "no-values", layout
-    yield "string-values", {**layout, "values": np.array(["1", "0"])}
-    yield "signed-values", {**layout, "values": values.astype(np.int64)}
-    yield "float-values", {**layout, "values": values.astype(np.float64)}
-    yield "2-D-values", {**layout, "values": values.reshape(1, 2)}
-    yield "short-values", {**layout, "values": values[:1]}
-    yield "wide-values", {**layout, "values": values + 1}
-    yield "object-values", {**layout, "values": np.array([1, 0], dtype=object)}
-    yield "float-layout", {**layout, "index_qubits": 1.0, "values": values}
-    yield "vector-layout", {**layout, "data_qubits": [1], "values": values}
-    yield "zero-layout", {**layout, "index_qubits": 0, "values": values}
-    npy = io.BytesIO()
-    np.save(npy, values)
-    yield "npy", npy.getvalue()  # a bare array, not an archive
-    yield "pickle", pickle.dumps({**layout, "values": values})
-    # an archive whose values header claims 8 TiB
-    archive = io.BytesIO()
-    with zipfile.ZipFile(archive, "w") as zf:
-        for key, value in layout.items():
-            with zf.open(f"{key}.npy", "w") as fh:
-                np.lib.format.write_array(fh, np.array(value))
-        with zf.open("values.npy", "w") as fh:
-            np.lib.format.write_array_header_1_0(fh, {
-                "descr": "<u8", "fortran_order": False, "shape": (1 << 40,)})
-    yield "huge-header", archive.getvalue()
+    corrupt = "corrupt state file"
+    yield "truncated", good[:len(good) // 2], corrupt
+    yield "empty", b"", corrupt
+    yield "random", np.random.default_rng(3).bytes(256), corrupt
+    yield "non-utf-8", b'{"index_qubits": 1, "data_qubits": 1, ' \
+        b'"values": [1, 0], "\xff": 0}', corrupt
+    yield "top-list", b"[1, 0]", "not a JSON object: list"
+    yield "top-number", b"5", "not a JSON object: int"
+    yield "top-string", b'"qarray"', "not a JSON object: str"
+    yield "no-values", layout, "missing key 'values'"
+    yield "no-layout", {"data_qubits": 1, "values": [1, 0]}, \
+        "missing key 'index_qubits'"
+    for name, values in (("string", "10"), ("number", 10),
+                         ("dict", {"0": 1, "1": 0})):
+        yield f"{name}-values", {**layout, "values": values}, \
+            "values must be a list"
+    for name, entry in (("true", True), ("float", 1.5), ("string", "1"),
+                        ("null", None), ("nan", float("nan"))):
+        yield f"{name}-entry", {**layout, "values": [entry, 0]}, \
+            f"value must be an integer, got {entry!r}"
+    yield "negative-value", {**layout, "values": [1, -1]}, \
+        "value out of range"
+    yield "wide-value", {**layout, "values": [1, 2]}, \
+        "value 2 at index 1 does not fit in 1 data qubits"
+    yield "short-values", {**layout, "values": [1]}, \
+        "layout holds 2 elements, got 1 values"
+    for key, bad in (("index_qubits", 1.0), ("data_qubits", True),
+                     ("index_qubits", 0)):
+        yield f"{key}-{bad}", {**layout, key: bad, "values": [1, 0]}, key
+    yield "over-cap", {"index_qubits": 1, "data_qubits": 24,
+                       "values": [1, 0]}, "register width must be in [1, 24]"
+    yield "deep", b"[" * 100_000, "maximum recursion depth"
+    yield "long-int", b'{"index_qubits": 1, "data_qubits": 1, "values": [' \
+        + b"1" * 5000 + b", 0]}", "digits"
+    npz = io.BytesIO()
+    np.savez(npz, **layout, values=np.array([1, 0], dtype=np.uint64))
+    yield "npz", npz.getvalue(), "zip state file of an older version"
 
 
 def test_array_rejects_corrupt_state_files(capsys, tmp_path):
-    good = tmp_path / "good.npz"
+    good = tmp_path / "good.json"
     run_cli(capsys, "array", "create", "1,2,0,5", "-p", "3",
             "--state", str(good))
-    for name, content in _corrupt_states(good.read_bytes()):
-        state = tmp_path / f"{name}.npz"
+    for name, content, text in _corrupt_states(good.read_bytes()):
+        state = tmp_path / f"{name}.json"
         if isinstance(content, bytes):
             state.write_bytes(content)
         else:
@@ -401,8 +405,44 @@ def test_array_rejects_corrupt_state_files(capsys, tmp_path):
             assert code == 2 and out == "", (name, argv)
             assert err.startswith("error: ") and err.count("\n") == 1, \
                 (name, err)
+            assert text in err, (name, err)
             assert "Traceback" not in err
         assert state.read_bytes() == before, name
+
+
+def test_state_file_size_bound(capsys, tmp_path, monkeypatch):
+    # Under a cap of c qubits no layout writes more than 3 * 2**(c - 1)
+    # + 64 bytes, the largest being m = c - 1, p = 1; one byte more is
+    # refused before it is parsed.
+    path = str(tmp_path / "state.json")
+    for cap in range(2, 11):
+        monkeypatch.setattr(statevector, "MAX_QUBITS", cap)
+        limit = (3 << (cap - 1)) + 64
+        sizes = {}
+        for m in range(1, cap):
+            for p in range(1, cap - m + 1):
+                layout = ArrayLayout(m, p)
+                contents = ArrayContents(((1 << p) - 1,) * layout.length)
+                _save_state(path, layout, create_state(contents, layout),
+                            contents)
+                sizes[m, p] = os.path.getsize(path)
+                assert _load_state(path)[0] == layout
+        assert max(sizes, key=sizes.get) == (cap - 1, 1)
+        assert sizes[cap - 1, 1] <= limit
+    # The largest file of a cap of 4, padded to the bound, still loads.
+    monkeypatch.setattr(statevector, "MAX_QUBITS", 4)
+    code, _, _ = run_cli(capsys, "array", "create", "1,1,1,1,1,1,1,1",
+                         "-p", "1", "--state", path)
+    assert code == 0
+    text = Path(path).read_text()
+    for size in (len(text), 88):
+        Path(path).write_text(text.ljust(size))
+        assert run_cli(capsys, "array", "dump", "--state", path) == \
+            (0, "[1,1,1,1,1,1,1,1]\n", "")
+    Path(path).write_text(text.ljust(89))
+    assert run_cli(capsys, "array", "dump", "--state", path) == (
+        2, "", f"error: corrupt state file {path!r}: longer than 88 bytes, "
+               "the largest state a valid layout makes\n")
 
 
 def test_array_dump_rejects_bad_tolerance(capsys, tmp_path):
@@ -502,7 +542,7 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_damaged_state_files_load_or_raise_value_error(capsys, tmp_path):
-    good = tmp_path / "good.npz"
+    good = tmp_path / "good.json"
     run_cli(capsys, "array", "create", "1,0", "-p", "1", "--state", str(good))
     data = good.read_bytes()
     rng = random.Random(5)
@@ -512,7 +552,7 @@ def test_damaged_state_files_load_or_raise_value_error(capsys, tmp_path):
         for _ in range(rng.randint(1, 4)):
             flipped[rng.randrange(len(flipped))] = rng.randrange(256)
         damaged.append(bytes(flipped))
-    state = str(tmp_path / "damaged.npz")
+    state = str(tmp_path / "damaged.json")
     for content in damaged:
         with open(state, "wb") as fh:
             fh.write(content)
@@ -594,7 +634,7 @@ def test_main_exits_0_2_or_3_on_any_argv(capsys, tmp_path, monkeypatch, argv):
                                     '"amplitudes": [[1.0, 0.0]]}\n')
         Path("junk.npz").write_bytes(b"PK\x03\x04" + bytes(60))
         write_state("uniform.npz", index_qubits=1, data_qubits=1,
-                    amplitudes=np.full(4, 0.5, dtype=np.complex128))
+                    amplitudes=[[0.5, 0.0]] * 4)
     code, _, err = run_cli(capsys, *argv)
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
