@@ -138,6 +138,30 @@ MUTATIONS = (
     Mutation("state-size-bound", "qabacus/cli.py",
              "if len(data) > limit:", "if False:",
              ("tests/test_cli.py::test_state_file_size_bound",)),
+    Mutation("state-check-contents", "qabacus/cli.py",
+             "_check_contents(contents, layout)", "None",
+             ("tests/test_cli.py::test_array_dump_detects_malformed_state",)),
+    # Materialization, the Fourier adder and the array readout.
+    Mutation("one-branch-phase-factor", "qabacus/statevector.py",
+             "amps[index] = amp * DyadicTurn(\n"
+             "                    phase, MAX_DYADIC_EXPONENT).phase_factor()",
+             "amps[index] = amp",
+             (_TESTS + "test_random_circuits_match_reference",)),
+    Mutation("adder-drops-controls", "qabacus/qft.py",
+             "register.start + l,\n                       controls)",
+             "register.start + l,\n                       ())",
+             ("tests/test_counting.py::test_counter_basis_examples",)),
+    Mutation("adder-ignores-register-start", "qabacus/qft.py",
+             "_fourier_turn(value, width - l), register.start + l,",
+             "_fourier_turn(value, width - l), l,",
+             ("tests/test_counting.py::test_counter_basis_examples",)),
+    Mutation("read-all-mass-before-peak", "qabacus/qarray.py",
+             "if light[j]:",
+             "if not peak[j] < (1.0 - tolerance) * mass[j]:",
+             ("tests/test_qarray.py::test_read_all_matches_plain_loop",)),
+    Mutation("branch-values-order", "qabacus/qarray.py",
+             "values[branches.index >> p] = ", "values[:] = ",
+             ("tests/test_qarray.py::test_create_read_roundtrip_exhaustive_2x2",)),
     # Power-of-two scaling of a turn.
     Mutation("times-pow2-clamp", "qabacus/turns.py",
              "k = max(self._denom_exponent - exponent, 0)",

@@ -5,9 +5,10 @@ numpy is needed only on the dense path and for branch forms of more
 than one branch (quantum arrays), and is imported there, on first use.
 Importing the package, ``run_count``, both phase estimators run
 on a ``new_basis_state`` input, ``serialize``/``parse`` and the
-``qabacus count`` and ``qabacus circuit print`` commands never import
-it; ``qabacus encode``, the ``array`` commands, ``create_state``,
-``read_all``, ``analytic_fourier_state``, marginals and sampling do.
+``qabacus count``, ``qabacus circuit print`` and ``qabacus array dump``
+commands never import it; ``qabacus encode``, ``array create``,
+``array add``, ``create_state``, ``read_all``,
+``analytic_fourier_state``, marginals and sampling do.
 """
 
 from .circuit import (

@@ -7,6 +7,8 @@ Exit codes: 0 ok, 2 usage or input error, 3 determinism violation.
 Every integer argument is ASCII ``-?[0-9]+``, the one integer text that
 circuit text reads too.  The array commands keep the array in a
 values-only JSON state file: the layout and one value per index.
+``array dump`` prints those values as stored; ``array add`` builds the
+array state from them, runs the update and reads the new values back.
 """
 
 import argparse
@@ -21,11 +23,11 @@ from typing import NamedTuple
 
 from . import statevector
 from .circuit import Circuit, ParseError, gate_count_report, serialize
-from .counting import CountTarget, _check_bits, _read_count, build_counter
+from .counting import CountTarget, _read_count, build_counter
 from .encoding import build_encoder, decode_register, fourier_phase
 from .phase_estimation import build_qft_phase_estimator
 from .qarray import ArrayContents, ArrayLayout, IndexPredicate, MalformedArray, \
-    _array_state, build_create, build_update_add, read_all
+    _array_state, _check_contents, build_create, build_update_add, read_all
 from .qft import build_inverse_qft, build_qft
 from .statevector import NotDeterministic, StateVector, apply_circuit, \
     new_basis_state
@@ -124,15 +126,17 @@ def _save_state(path: str, layout: ArrayLayout, state: StateVector,
     if branches is not None and (branches.amp != 1 or np.any(branches.phase)):
         raise ValueError("the array state carries phases, which a values-only "
                          "state file cannot hold")
+    # One dumps call encodes the whole object in C; json.dump would hand
+    # the file about two chunks per value.
+    text = json.dumps({"index_qubits": layout.index_qubits,
+                       "data_qubits": layout.data_qubits,
+                       "values": contents.values})
     # Write a sibling file and rename it over the old one, so a failed
     # write never leaves a half-written state file behind.
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"index_qubits": layout.index_qubits,
-                       "data_qubits": layout.data_qubits,
-                       "values": contents.values}, fh)
-            fh.write("\n")
+            fh.write(text + "\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -140,7 +144,9 @@ def _save_state(path: str, layout: ArrayLayout, state: StateVector,
         raise
 
 
-def _load_state(path: str) -> tuple[ArrayLayout, StateVector]:
+def _load_state(path: str) -> tuple[ArrayLayout, ArrayContents]:
+    """The layout and stored values of the state file at ``path``, checked
+    as ``array create`` checks its input."""
     # The longest file _save_state writes: 2**(cap - 1) one-digit values,
     # each with its ", ", plus the keys.  Parsing a list of ints takes far
     # more memory than its text, so nothing longer is parsed.
@@ -172,7 +178,8 @@ def _load_state(path: str) -> tuple[ArrayLayout, StateVector]:
             if not isinstance(values, list):
                 raise ValueError(
                     f"values must be a list, got {type(values).__name__}")
-            state = _array_state(ArrayContents(tuple(values)), layout)
+            contents = ArrayContents(tuple(values))
+            _check_contents(contents, layout)
     except KeyError as exc:
         raise ValueError(
             f"corrupt state file {path!r}: missing key {exc}") from None
@@ -183,11 +190,11 @@ def _load_state(path: str) -> tuple[ArrayLayout, StateVector]:
         raise ValueError(
             f"{path!r} is an old JSON state file; re-run 'array create' "
             "to write the values format")
-    return layout, state
+    return layout, contents
 
 
 def _cmd_count(args) -> _Reply:
-    bits = _check_bits(_parse_bits(args.bits))
+    bits = _parse_bits(args.bits)
     target = CountTarget(args.target)
     counter = build_counter(len(bits), target)
     count = _read_count(counter, bits, args.tolerance)
@@ -233,11 +240,10 @@ def _cmd_array_create(args) -> _Reply:
 
 
 def _cmd_array_add(args) -> _Reply:
-    layout, state = _load_state(args.state)
+    layout, before = _load_state(args.state)
     predicate = _parse_predicate(args.where)
-    before = read_all(state, layout, args.tolerance)
     circuit = build_update_add(args.addend, predicate, layout)
-    state = apply_circuit(state, circuit)
+    state = apply_circuit(_array_state(before, layout), circuit)
     after = read_all(state, layout, args.tolerance)
     _save_state(args.state, layout, state, after)
     return _Reply({"addend": args.addend, "where": args.where},
@@ -248,8 +254,7 @@ def _cmd_array_add(args) -> _Reply:
 
 
 def _cmd_array_dump(args) -> _Reply:
-    layout, state = _load_state(args.state)
-    contents = read_all(state, layout, args.tolerance)
+    _, contents = _load_state(args.state)
     return _Reply({}, {"contents": list(contents.values)}, {},
                   [_format_values(contents.values) + "\n"])
 
@@ -349,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = asub.add_parser("dump", help="print the stored values")
     d.add_argument("--state", default=DEFAULT_STATE_FILE)
-    declare(d, "array-dump", _cmd_array_dump)
+    declare(d, "array-dump", _cmd_array_dump, tolerance=False)
 
     p = sub.add_parser("circuit", help="inspect builder circuits")
     csub = p.add_subparsers(dest="circuit_command", required=True)

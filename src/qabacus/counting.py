@@ -11,6 +11,11 @@ Register layout: input = qubits 0..n-1, ancillas = qubits n..n+m-1.
 The circuit leaves the input register unchanged and is deterministic
 for every basis input because the accumulated phase count/2**m is
 always an exact m-bit dyadic.
+
+The one bound on n is the register width n + m, which ``_phase_frame``
+checks before any gate is made: 19 counted bits at the 24-qubit cap.
+``run_count`` runs in the simulator's basis form, so no width it
+accepts builds a dense array.
 """
 
 import enum
@@ -24,10 +29,8 @@ from .turns import DyadicTurn
 
 __all__ = [
     "CountTarget", "ancilla_width", "count_phase_table",
-    "build_count_stage", "build_counter", "run_count", "MAX_COUNT_BITS",
+    "build_count_stage", "build_counter", "run_count",
 ]
-
-MAX_COUNT_BITS = 16
 
 
 class CountTarget(enum.Enum):
@@ -106,9 +109,6 @@ def build_counter(n: int, target: CountTarget = CountTarget.ONES, *,
 def _check_bits(bits) -> list[int]:
     """The bits as plain ints; numpy integers pass, floats do not."""
     bits = list(bits)
-    if not 1 <= len(bits) <= MAX_COUNT_BITS:
-        raise ValueError(
-            f"bit sequence length must be in [1, {MAX_COUNT_BITS}], got {len(bits)}")
     try:
         ints = [operator.index(b) for b in bits]
     except TypeError:

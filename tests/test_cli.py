@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from qabacus import ArrayContents, ArrayLayout, Circuit, StateVector, \
     build_counter, create_state, read_all, serialize, statevector
+from qabacus import cli
 from qabacus.cli import _load_state, _save_state, main
+from qabacus.qarray import _array_state
 from qabacus.statevector import _Branches
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -73,7 +75,7 @@ def test_count_rejects_malformed_bits(capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1  # one-line diagnostic
-    code, _, _ = run_cli(capsys, "count", "0" * 17)
+    code, _, _ = run_cli(capsys, "count", "0" * 20)
     assert code == 2
 
 
@@ -292,11 +294,23 @@ def test_array_add_failed_write_keeps_old_state(capsys, tmp_path,
             "--state", str(state))
     before = state.read_bytes()
 
-    def failing_dump(obj, fh, **kwargs):
-        fh.write(before[:20].decode())
-        raise OSError(28, "No space left on device")
+    real_open = open
 
-    monkeypatch.setattr(json, "dump", failing_dump)
+    def open_full_disk(file, mode="r", **kwargs):
+        """A file opened for writing stores 20 characters, then fails."""
+        fh = real_open(file, mode, **kwargs)
+        if "w" in mode:
+            write = fh.write
+
+            def fail_midway(text):
+                write(text[:20])
+                raise OSError(28, "No space left on device")
+
+            fh.write = fail_midway
+        return fh
+
+    # The module global shadows the builtin for the CLI's own calls only.
+    monkeypatch.setattr(cli, "open", open_full_disk, raising=False)
     code, _, err = run_cli(capsys, "array", "add", "1", "--state", str(state))
     monkeypatch.undo()
     assert code == 2 and "No space left" in err
@@ -313,8 +327,9 @@ def test_state_file_round_trip_is_bit_exact(tmp_path):
     state = create_state(contents, layout)
     path = str(tmp_path / "state.npz")
     _save_state(path, layout, state, contents)
-    loaded_layout, loaded = _load_state(path)
-    assert loaded_layout == layout
+    loaded_layout, loaded_contents = _load_state(path)
+    assert loaded_layout == layout and loaded_contents == contents
+    loaded = _array_state(loaded_contents, layout)
     # The same branches, in index order, every one at phase 0.
     order = np.argsort(state._branches.index)
     assert loaded._branches.index.tolist() == \
@@ -446,13 +461,14 @@ def test_state_file_size_bound(capsys, tmp_path, monkeypatch):
 
 
 def test_array_dump_rejects_bad_tolerance(capsys, tmp_path):
+    # dump reads nothing out, so it takes no tolerance, good or bad.
     state = str(tmp_path / "array.npz")
     run_cli(capsys, "array", "create", "1,2,0,5", "-p", "3", "--state", state)
-    for tolerance in ("nan", "2", "0"):
+    for tolerance in ("1e-9", "nan", "2", "0"):
         code, out, err = run_cli(capsys, "array", "dump", "--tolerance",
                                  tolerance, "--state", state)
         assert code == 2 and out == "", tolerance
-        assert "tolerance" in err
+        assert "unrecognized arguments: --tolerance" in err
 
 
 def test_circuit_print_golden(capsys):

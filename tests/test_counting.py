@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from qabacus import (
     count_phase_table, deterministic_outcome, gate_count_report,
     marginal_distribution, new_basis_state, run_count,
 )
+from qabacus import counting
+from qabacus.cli import main
 from qabacus.reference import ref_popcount
 from qabacus.turns import DyadicTurn
 
@@ -83,7 +87,7 @@ def test_run_count_validation():
     with pytest.raises(ValueError):
         run_count([0, 1, 2])
     with pytest.raises(ValueError):
-        run_count([0] * 17)
+        run_count([0] * 20)
 
 
 def test_count_target_must_be_a_count_target():
@@ -199,3 +203,17 @@ def test_counter_width_cap():
         build_count_stage(0)
     with pytest.raises(ValueError):
         build_counter(21)  # 21 inputs + 5 ancillas > 24
+
+
+def test_count_width_rule_is_checked_before_any_kick(capsys, monkeypatch):
+    # 20 inputs need 5 ancillas: 25 qubits, one past the cap.  The counter
+    # calls the adder through the name counting imported.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kick gate was built")
+
+    monkeypatch.setattr(counting, "_fourier_add", refuse)
+    text = "register width must be in [1, 24] qubits, got 25"
+    with pytest.raises(ValueError, match=re.escape(text)):
+        run_count([1] * 20)
+    assert main(["count", "1" * 20]) == 2
+    assert capsys.readouterr() == ("", f"error: {text}\n")

@@ -7,6 +7,7 @@ must give its answer without importing numpy; each dense entry point
 must give its answer when it is the first thing to need numpy.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -125,15 +126,33 @@ def test_dense_entry_points_import_numpy_themselves(code, tmp_path):
 
 
 def test_state_file_commands_import_numpy_themselves(tmp_path):
-    """Each command of the array chain golden in its own interpreter, so
-    that saving and loading the state file each meet numpy first."""
+    """array create and array add each in their own interpreter, so that
+    building the array state and saving it each meet numpy first."""
     golden = (GOLDEN_DIR / "cli_array_chain.txt").read_text().splitlines(True)
     chain = [(["array", "create", "1,2,0,5", "-p", "3"], golden[:1]),
-             (["array", "dump"], golden[1:2]),
-             (["array", "add", "1", "--where", "even"], golden[2:4]),
-             (["array", "dump"], golden[4:])]
+             (["array", "add", "1", "--where", "even"], golden[2:4])]
     for argv, lines in chain:
         argv += ["--state", str(tmp_path / "array.npz")]
         run_fresh(f"assert cli_out(*{argv!r}) == {''.join(lines)!r}\n"
                   'assert "numpy" in sys.modules\n', tmp_path)
-    assert sum(len(lines) for _, lines in chain) == len(golden) == 5
+
+
+def test_array_dump_never_imports_numpy(tmp_path):
+    """array dump prints the stored values without building a state: after
+    each step of the array chain golden, run here, a fresh interpreter
+    dumps the file, as text and as JSON."""
+    from qabacus import cli
+    golden = (GOLDEN_DIR / "cli_array_chain.txt").read_text().splitlines(True)
+    state = str(tmp_path / "array.npz")
+    steps = [(["array", "create", "1,2,0,5", "-p", "3"], golden[1]),
+             (["array", "add", "1", "--where", "even"], golden[4])]
+    for argv, line in steps:
+        assert cli.main(argv + ["--state", state]) == 0
+        values = json.loads(line)
+        run_fresh(f"assert cli_out('array', 'dump', '--state', {state!r}) "
+                  f"== {line!r}\n"
+                  f"blob = json.loads(cli_out('array', 'dump', '--json', "
+                  f"'--state', {state!r}))\n"
+                  f"assert blob['result'] == {{'contents': {values!r}}}\n"
+                  'assert "numpy" not in sys.modules\n', tmp_path)
+    assert len(golden) == 5

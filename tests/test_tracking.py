@@ -320,6 +320,20 @@ def test_counter_runs_tracked_at_16_bits(no_dense):
                     count % (1 << m)
 
 
+def test_counter_runs_tracked_up_to_the_width_cap(dense_gates, capsys):
+    # 17 to 19 inputs need 5 ancillas, at most the 24 qubits of the cap.
+    rng = np.random.default_rng(19)
+    for n in (17, 18, 19):
+        bits = [int(b) for b in rng.integers(2, size=n)]
+        ones = sum(bits)
+        assert run_count(bits) == ones
+        assert run_count(bits, CountTarget.ZEROS) == n - ones
+        text = "".join(str(b) for b in reversed(bits))
+        assert main(["count", text]) == 0
+        assert capsys.readouterr().out.startswith(f"count={ones} m=5 ")
+    assert dense_gates == []
+
+
 def test_estimators_run_tracked(no_dense):
     rng = np.random.default_rng(8)
     for n in range(1, 9):
