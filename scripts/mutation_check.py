@@ -86,7 +86,7 @@ MUTATIONS = (
     Mutation("split-theta", _TRACKING,
              "(glob + th) & _MASK", "glob & _MASK", (_SPLITS,)),
     Mutation("split-scale", "qabacus/statevector.py",
-             "(amp / math.sqrt(index.size))", "amp", (_SPLITS, _CHAINS)),
+             "(1.0 / math.sqrt(index.size))", "1.0", (_SPLITS, _CHAINS)),
     Mutation("branches-distinct", "qabacus/statevector.py",
              "if (ordered[1:] == ordered[:-1]).any():\n        raise ValueError",
              "if False:\n        raise ValueError",
@@ -106,9 +106,9 @@ MUTATIONS = (
              "if last[0] is not index:", (_CHAINS,)),
     # The gate and circuit model.
     Mutation("phase-top-from-target", _CIRCUIT,
-             "_top=max(qubits))", "_top=target)", (_WIDTH,)),
+             '"_top", max(qubits))', '"_top", target)', (_WIDTH,)),
     Mutation("swap-top-from-a", _CIRCUIT,
-             "_top=max(a, b))", "_top=a)", (_WIDTH,)),
+             '"_top", max(a, b))', '"_top", a)', (_WIDTH,)),
     Mutation("pattern-polarity", _CIRCUIT,
              "positive=bool((match >> b) & 1)",
              "positive=not (match >> b) & 1", (_MEMO,)),
@@ -125,16 +125,15 @@ MUTATIONS = (
     Mutation("readout-bit-order", "qabacus/statevector.py",
              "((index >> q) & 1) << bit", "((index >> q) & 1) << q",
              ("tests/test_basis_form.py::test_readout_is_the_same_in_both_forms",)),
+    Mutation("multi-branch-readout", "qabacus/statevector.py",
+             "p = int(counts[top]) / index.size", "p = 1.0",
+             ("tests/test_basis_form.py::test_readout_table_covers_every_branch",)),
     Mutation("save-ignores-phases", "qabacus/cli.py",
-             "(branches.amp != 1 or np.any(branches.phase))",
-             "branches.amp != 1",
+             "np.any(branches.phase)", "False",
              ("tests/test_cli.py::test_save_refuses_a_state_with_phases",)),
     Mutation("state-values-list", "qabacus/cli.py",
              "if not isinstance(values, list):", "if False:",
              ("tests/test_cli.py::test_array_rejects_corrupt_state_files",)),
-    Mutation("state-zip-hint", "qabacus/cli.py",
-             "if data.startswith(_ZIP_START):", "if False:",
-             ("tests/test_cli.py::test_array_rejects_old_amplitude_state",)),
     Mutation("state-size-bound", "qabacus/cli.py",
              "if len(data) > limit:", "if False:",
              ("tests/test_cli.py::test_state_file_size_bound",)),
@@ -143,9 +142,9 @@ MUTATIONS = (
              ("tests/test_cli.py::test_array_dump_detects_malformed_state",)),
     # Materialization, the Fourier adder and the array readout.
     Mutation("one-branch-phase-factor", "qabacus/statevector.py",
-             "amps[index] = amp * DyadicTurn(\n"
+             "amps[index] = DyadicTurn(\n"
              "                    phase, MAX_DYADIC_EXPONENT).phase_factor()",
-             "amps[index] = amp",
+             "amps[index] = 1.0",
              (_TESTS + "test_random_circuits_match_reference",)),
     Mutation("adder-drops-controls", "qabacus/qft.py",
              "register.start + l,\n                       controls)",

@@ -5,10 +5,14 @@ is line-oriented and stable; --json swaps it for a single JSON object.
 Exit codes: 0 ok, 2 usage or input error, 3 determinism violation.
 
 Every integer argument is ASCII ``-?[0-9]+``, the one integer text that
-circuit text reads too.  The array commands keep the array in a
-values-only JSON state file: the layout and one value per index.
-``array dump`` prints those values as stored; ``array add`` builds the
-array state from them, runs the update and reads the new values back.
+circuit text reads too.  Only ``encode`` and ``array create`` take
+``--tolerance``, as only they can read out a dense state; every other
+readout is exact.  The array commands keep the array in a values-only
+JSON state file: the layout and one value per index.  ``array dump``
+prints those values as stored; ``array add`` builds the array state from
+them, runs the update and reads the new values back.  A file that is not
+such an object, a zip archive or an amplitude file of an older version
+included, is refused as a corrupt state file.
 """
 
 import argparse
@@ -36,10 +40,6 @@ from .turns import _int_from_text, format_turn
 __all__ = ["main"]
 
 DEFAULT_STATE_FILE = "qarray.json"
-
-# Both earlier binary formats were .npz archives, each beginning with a
-# zip local file header.
-_ZIP_START = b"PK\x03\x04"
 
 _GATE_KEY_ORDER = ("cphase", "h", "phase", "swap", "x", "total")
 
@@ -123,7 +123,7 @@ def _save_state(path: str, layout: ArrayLayout, state: StateVector,
     every state the array commands make does: the file holds no phases."""
     import numpy as np
     branches = state._branches
-    if branches is not None and (branches.amp != 1 or np.any(branches.phase)):
+    if branches is not None and np.any(branches.phase):
         raise ValueError("the array state carries phases, which a values-only "
                          "state file cannot hold")
     # One dumps call encodes the whole object in C; json.dump would hand
@@ -160,10 +160,6 @@ def _load_state(path: str) -> tuple[ArrayLayout, ArrayContents]:
         # read(n) allocates n bytes up front, so ask for no more than the
         # file holds; a special file reports size 0 and gets one byte.
         data = fh.read(min(os.fstat(fh.fileno()).st_size, limit) + 1)
-    if data.startswith(_ZIP_START):
-        raise ValueError(
-            f"{path!r} is a zip state file of an older version; re-run "
-            "'array create' to write the JSON format")
     try:
         if len(data) > limit:
             raise ValueError(f"longer than {limit} bytes, the largest state "
@@ -171,25 +167,19 @@ def _load_state(path: str) -> tuple[ArrayLayout, ArrayContents]:
         blob = json.loads(data)
         if not isinstance(blob, dict):
             raise ValueError(f"not a JSON object: {type(blob).__name__}")
-        old = "amplitudes" in blob and "values" not in blob
-        if not old:
-            layout = ArrayLayout(blob["index_qubits"], blob["data_qubits"])
-            values = blob["values"]
-            if not isinstance(values, list):
-                raise ValueError(
-                    f"values must be a list, got {type(values).__name__}")
-            contents = ArrayContents(tuple(values))
-            _check_contents(contents, layout)
+        layout = ArrayLayout(blob["index_qubits"], blob["data_qubits"])
+        values = blob["values"]
+        if not isinstance(values, list):
+            raise ValueError(
+                f"values must be a list, got {type(values).__name__}")
+        contents = ArrayContents(tuple(values))
+        _check_contents(contents, layout)
     except KeyError as exc:
         raise ValueError(
             f"corrupt state file {path!r}: missing key {exc}") from None
     # Deep nesting exhausts the parser's recursion.
     except (MemoryError, RecursionError, ValueError) as exc:
         raise ValueError(f"corrupt state file {path!r}: {exc}") from None
-    if old:
-        raise ValueError(
-            f"{path!r} is an old JSON state file; re-run 'array create' "
-            "to write the values format")
     return layout, contents
 
 
@@ -197,7 +187,7 @@ def _cmd_count(args) -> _Reply:
     bits = _parse_bits(args.bits)
     target = CountTarget(args.target)
     counter = build_counter(len(bits), target)
-    count = _read_count(counter, bits, args.tolerance)
+    count = _read_count(counter, bits)
     m = counter.num_qubits - len(bits)
     # The reported counts cover the counting stage (ancilla prep plus the
     # n*m rotations); the fixed inverse-QFT readout is excluded.
@@ -244,7 +234,7 @@ def _cmd_array_add(args) -> _Reply:
     predicate = _parse_predicate(args.where)
     circuit = build_update_add(args.addend, predicate, layout)
     state = apply_circuit(_array_state(before, layout), circuit)
-    after = read_all(state, layout, args.tolerance)
+    after = read_all(state, layout)
     _save_state(args.state, layout, state, after)
     return _Reply({"addend": args.addend, "where": args.where},
                   {"before": list(before.values), "after": list(after.values)},
@@ -308,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "on a state-vector simulator.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def declare(p, name, func, tolerance=True):
+    def declare(p, name, func, tolerance=False):
         """Give command parser ``p`` the common options, its handler and
         the ``command`` name of its JSON reply."""
         p.add_argument("--json", action="store_true",
@@ -330,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", type=_arg_int, required=True)
     p.add_argument("--dump-state", action="store_true",
                    help="print 'bitstring re im prob' rows of the encoded state")
-    declare(p, "encode", _cmd_encode)
+    declare(p, "encode", _cmd_encode, tolerance=True)
 
     p = sub.add_parser("array", help="create, update or dump a quantum array")
     asub = p.add_subparsers(dest="array_command", required=True)
@@ -343,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index qubits (default: inferred from the value count)")
     c.add_argument("--state", default=DEFAULT_STATE_FILE,
                    help=f"state file (default {DEFAULT_STATE_FILE})")
-    declare(c, "array-create", _cmd_array_create)
+    declare(c, "array-create", _cmd_array_create, tolerance=True)
 
     a = asub.add_parser("add", help="add a constant to selected elements")
     a.add_argument("addend", type=_arg_int)
@@ -354,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = asub.add_parser("dump", help="print the stored values")
     d.add_argument("--state", default=DEFAULT_STATE_FILE)
-    declare(d, "array-dump", _cmd_array_dump, tolerance=False)
+    declare(d, "array-dump", _cmd_array_dump)
 
     p = sub.add_parser("circuit", help="inspect builder circuits")
     csub = p.add_subparsers(dest="circuit_command", required=True)
@@ -362,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("builder",
                     help="qft | iqft | qft-pea | counter | encoder")
     pr.add_argument("params", nargs="*", help="builder arguments")
-    declare(pr, "circuit-print", _cmd_circuit_print, tolerance=False)
+    declare(pr, "circuit-print", _cmd_circuit_print)
 
     return parser
 

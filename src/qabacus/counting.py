@@ -118,7 +118,8 @@ def _check_bits(bits) -> list[int]:
     return ints
 
 
-def _read_count(counter: Circuit, bits: list[int], tolerance: float) -> int:
+def _read_count(counter: Circuit, bits: list[int],
+                tolerance: float = 1e-9) -> int:
     """Run a counter built for len(bits) inputs on the basis state given
     by ``bits`` and read its ancilla register deterministically."""
     n, width = len(bits), counter.num_qubits

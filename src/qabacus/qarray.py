@@ -279,4 +279,4 @@ def _array_state(contents: ArrayContents, layout: ArrayLayout) -> StateVector:
     index = np.arange(layout.length, dtype=np.int64) << layout.data_qubits
     index |= np.array(contents.values, dtype=np.int64)
     return StateVector(layout.num_qubits, _Branches(
-        index, 1.0, np.zeros(layout.length, dtype=np.int64)))
+        index, np.zeros(layout.length, dtype=np.int64)))

@@ -6,9 +6,9 @@ is the least significant bit of the basis index, so basis state
 
 A ``StateVector`` holds them in one of two forms.  The dense form is the
 numpy array itself.  The branch form is exact:
-``amp * 2**(-s/2) * sum_b e^{2*pi*i*phase_b/2**52} |index_b>`` over
-``B = 2**s`` distinct basis indices, with exact phase numerators and one
-common unit factor ``amp``.  With one branch it is the basis form that
+``2**(-s/2) * sum_b e^{2*pi*i*phase_b/2**52} |index_b>`` over ``B = 2**s``
+distinct basis indices, with exact phase numerators, so it is normalized
+by construction.  With one branch it is the basis form that
 ``new_basis_state`` makes, held in plain ints; with more it is held in
 int64 arrays, and a quantum array 2**(-m/2) * sum_j |j, d_j> is the case
 of one branch per index j.  ``apply_circuit`` keeps the branch form for
@@ -81,13 +81,12 @@ class NotDeterministic(Exception):
 
 
 class _Branches(NamedTuple):
-    """The branch form: ``amp * 2**(-s/2)`` times ``e^{2*pi*i*phase_b /
-    2**52}`` at basis index ``index_b`` for each of ``B = 2**s``
-    branches, zero elsewhere.  ``index`` and ``phase`` are ints for one
-    branch and int64 arrays for more."""
+    """The branch form: ``2**(-s/2) * e^{2*pi*i*phase_b / 2**52}`` at
+    basis index ``index_b`` for each of ``B = 2**s`` branches, zero
+    elsewhere.  ``index`` and ``phase`` are ints for one branch and int64
+    arrays for more."""
 
     index: int | np.ndarray
-    amp: complex
     phase: int | np.ndarray = 0
 
 
@@ -95,11 +94,11 @@ def _check_branches(num_qubits: int, form: _Branches) -> _Branches:
     """The branch form with its fields checked: the index or indices in
     range (and distinct), the phase numerators in [0, 2**52), a power-of-
     two branch count above one for the array case."""
-    index, amp, phase = form
+    index, phase = form
     turn = 1 << MAX_DYADIC_EXPONENT
     if getattr(index, "ndim", 0) == 0:
         return _Branches(_check_int(index, "basis index", 0, 1 << num_qubits),
-                         complex(amp), _check_int(phase, "phase", 0, turn))
+                         _check_int(phase, "phase", 0, turn))
     import numpy as np
     index, phase = np.asarray(index), np.asarray(phase)
     size = index.size
@@ -117,18 +116,18 @@ def _check_branches(num_qubits: int, form: _Branches) -> _Branches:
         raise ValueError("branch indices must be distinct")
     index.flags.writeable = False
     phase.flags.writeable = False
-    return _Branches(index, complex(amp), phase)
+    return _Branches(index, phase)
 
 
 class StateVector:
     """Immutable normalized state of a qubit register.
 
     ``amplitudes`` is either the dense array of ``2**n`` amplitudes or
-    the private branch form ``StateVector(n, _Branches(index, amp,
-    phase))``.  Both forms are checked here: the width against
-    MAX_QUBITS, the shape or the indices and phases, and the norm (for
-    the branch form, of ``amp``).  A branch-form state builds its dense
-    array on the first read of ``amplitudes`` and keeps it.
+    the private branch form ``StateVector(n, _Branches(index, phase))``.
+    Both forms are checked here: the width against MAX_QUBITS, then the
+    shape and the norm of the dense form, or the indices and phases of
+    the branch form.  A branch-form state builds its dense array on the
+    first read of ``amplitudes`` and keeps it.
     """
 
     __slots__ = ("_num_qubits", "_amplitudes", "_branches")
@@ -137,8 +136,6 @@ class StateVector:
         num_qubits = _check_width(num_qubits)
         if isinstance(amplitudes, _Branches):
             branches = _check_branches(num_qubits, amplitudes)
-            amp = branches.amp
-            sumsq = amp.real * amp.real + amp.imag * amp.imag
             amps = None
         else:
             import numpy as np
@@ -149,10 +146,11 @@ class StateVector:
                     f"qubits, got shape {amps.shape}")
             # One pass; a NaN or infinite amplitude makes the sum NaN or inf.
             sumsq = float(np.vdot(amps, amps).real)
+            if not abs(sumsq - 1.0) <= NORM_TOLERANCE:  # NaN fails too
+                raise ValueError(
+                    f"state is not normalized: sum |a|^2 = {sumsq!r}")
             amps.flags.writeable = False
             branches = None
-        if not abs(sumsq - 1.0) <= NORM_TOLERANCE:  # NaN fails too
-            raise ValueError(f"state is not normalized: sum |a|^2 = {sumsq!r}")
         self._num_qubits = num_qubits
         self._amplitudes = amps
         self._branches = branches
@@ -166,14 +164,14 @@ class StateVector:
         """Read-only view of the 2**n amplitudes."""
         if self._amplitudes is None:
             import numpy as np
-            index, amp, phase = self._branches
+            index, phase = self._branches
             amps = np.zeros(1 << self._num_qubits, dtype=np.complex128)
             if not isinstance(index, int):
                 turns = phase / float(1 << MAX_DYADIC_EXPONENT)
-                amps[index] = (amp / math.sqrt(index.size)) * np.exp(
+                amps[index] = (1.0 / math.sqrt(index.size)) * np.exp(
                     2j * math.pi * turns)
             else:
-                amps[index] = amp * DyadicTurn(
+                amps[index] = DyadicTurn(
                     phase, MAX_DYADIC_EXPONENT).phase_factor()
             amps.flags.writeable = False
             self._amplitudes = amps
@@ -194,7 +192,7 @@ class StateVector:
 def new_basis_state(num_qubits: int, basis: int) -> StateVector:
     """The computational basis state |basis> on num_qubits qubits, in
     basis form."""
-    return StateVector(num_qubits, _Branches(basis, 1.0))
+    return StateVector(num_qubits, _Branches(basis))
 
 
 def _slices(n: int, bits: dict[int, int]) -> tuple:
@@ -261,8 +259,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
         except NotRepresentable:
             pass
         else:
-            return StateVector(state.num_qubits,
-                               _Branches(index, branches.amp, phase))
+            return StateVector(state.num_qubits, _Branches(index, phase))
     amps = state.amplitudes.copy()
     for gate in circuit.gates:
         _apply_gate_inplace(amps, state.num_qubits, gate)
@@ -322,11 +319,11 @@ def deterministic_outcome(state: StateVector, tolerance: float = 1e-9, *,
         p = float(probs[best])
     else:
         # Each branch's outcome is its index bits, re-ordered; every
-        # branch carries |amp|^2 / B, whatever its phase.
-        index, amp, _ = branches
+        # branch carries 1/B, whatever its phase.
+        index = branches.index
         best = sum(((index >> q) & 1) << bit
                    for bit, q in enumerate(_check_qubits(state, qubits)))
-        p = amp.real * amp.real + amp.imag * amp.imag
+        p = 1.0
         if not isinstance(index, int):
             # The most frequent outcome, the lowest of a tie, as argmax
             # picks it from the marginal.
@@ -334,7 +331,7 @@ def deterministic_outcome(state: StateVector, tolerance: float = 1e-9, *,
             outcomes, counts = np.unique(best, return_counts=True)
             top = int(counts.argmax())
             best = int(outcomes[top])
-            p = p * int(counts[top]) / index.size
+            p = int(counts[top]) / index.size
     if p < 1.0 - tolerance:
         raise NotDeterministic(
             f"largest outcome probability is {p:.6g} (index {best}), "

@@ -1,7 +1,6 @@
 """The basis form of StateVector: the same checks, readouts and results as
 the dense form, and no 2**n array unless something reads ``amplitudes``."""
 
-import cmath
 import math
 import tracemalloc
 
@@ -13,18 +12,21 @@ from qabacus import (
     build_qft_phase_estimator, deterministic_outcome, marginal_distribution, new_basis_state,
     outcome_distribution, run_count, sample_outcomes,
 )
-from qabacus.statevector import NORM_TOLERANCE, _Branches
+from qabacus.statevector import _Branches
+from qabacus.turns import MAX_DYADIC_EXPONENT, DyadicTurn
 
-# A unit amplitude whose |a|^2 rounds to 1 - 2**-53, so a tolerance of
-# 1e-17 (where 1 - tolerance rounds to 1) cannot be cleared.
-_SHORT = complex(math.cos(0.14), math.sin(0.14))
+# The phase numerator of 13/16 turn, whose dense amplitude has |a|^2
+# rounded to 1 - 2**-53, so the dense form cannot clear a tolerance of
+# 1e-17 (where 1 - tolerance rounds to 1).  The basis form reads 1.
+_SHORT = 13 << (MAX_DYADIC_EXPONENT - 4)
 
 
-def _both_forms(n, index, amp):
-    """The state amp*|index> once in basis form and once dense."""
+def _both_forms(n, index, phase):
+    """The state e^{2*pi*i*phase/2**52}|index> once in basis form and
+    once dense."""
     amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[index] = amp
-    return StateVector(n, _Branches(index, amp)), StateVector(n, amps)
+    amps[index] = DyadicTurn(phase, MAX_DYADIC_EXPONENT).phase_factor()
+    return StateVector(n, _Branches(index, phase)), StateVector(n, amps)
 
 
 def _outcome(state, qubits, tolerance):
@@ -42,11 +44,14 @@ QUBIT_ARGS = [None, [0], [2], [4, 0], [0, 4], [1, 3, 2], range(5), range(2, 5),
 TOLERANCES = [1e-9, 0.25, 1e-17, 0.0, 1.0, math.nan, None, "x"]
 
 
-@pytest.mark.parametrize("amp", [1.0, -1j, _SHORT], ids=["one", "-i", "short"])
+@pytest.mark.parametrize("phase", [0, 3 << (MAX_DYADIC_EXPONENT - 2), _SHORT],
+                         ids=["one", "-i", "short"])
 @pytest.mark.parametrize("qubits", QUBIT_ARGS, ids=repr)
-def test_readout_is_the_same_in_both_forms(qubits, amp):
-    basis, dense = _both_forms(5, 0b10110, amp)
+def test_readout_is_the_same_in_both_forms(qubits, phase):
+    basis, dense = _both_forms(5, 0b10110, phase)
     for tolerance in TOLERANCES:
+        if phase == _SHORT and tolerance == 1e-17:
+            continue  # the dense rounding alone; see the next test
         want = _outcome(dense, qubits, tolerance)
         assert _outcome(basis, qubits, tolerance) == want, tolerance
 
@@ -54,9 +59,19 @@ def test_readout_is_the_same_in_both_forms(qubits, amp):
 def test_readout_table_covers_every_branch():
     basis, dense = _both_forms(5, 0b10110, _SHORT)
     assert _outcome(basis, [4, 0], 1e-9) == 0b01
-    assert _outcome(basis, None, 1e-17) == (
+    # One branch carries probability exactly 1: no rounding margin.
+    assert _outcome(basis, None, 1e-17) == 22
+    assert _outcome(dense, None, 1e-17) == (
         NotDeterministic, "largest outcome probability is 1 (index 22), "
         "below 1 - 1e-17")
+    # Two branches apart in qubit 0 alone: each carries 1/2, whatever its
+    # phase, and only a readout that skips qubit 0 is deterministic.
+    split = StateVector(5, _Branches(np.array([22, 23], dtype=np.int64),
+                                     np.array([0, _SHORT], dtype=np.int64)))
+    assert _outcome(split, [4, 1], 1e-17) == 0b11
+    assert _outcome(split, [0, 4], 0.25) == (
+        NotDeterministic, "largest outcome probability is 0.5 (index 2), "
+        "below 1 - 0.25")
     assert _outcome(basis, [1, 1], 1e-9) == (
         ValueError, "duplicate qubits in (1, 1)")
     assert _outcome(basis, [], 1e-9) == (ValueError, "qubits must be non-empty")
@@ -77,24 +92,14 @@ def test_basis_amplitudes_are_read_only_and_cached():
         out.amplitudes[0] = 1
 
 
-@pytest.mark.parametrize("amp", [
-    0.5, 0.0, 1 + 2 * NORM_TOLERANCE, 1 - 2 * NORM_TOLERANCE, 1j * 1.1,
-    math.nan, complex(math.nan, 0), complex(0, math.nan), math.inf,
-    complex(math.inf, math.nan),
-])
-def test_basis_form_rejects_a_non_unit_amplitude(amp):
-    with pytest.raises(ValueError, match="^state is not normalized"):
-        StateVector(2, _Branches(1, amp))
-
-
 def test_basis_form_checks_width_index_and_accepts_the_tolerance():
-    for amp in (1 + 0.4 * NORM_TOLERANCE, 1 - 0.4 * NORM_TOLERANCE,
-                cmath.exp(0.3j)):
-        assert StateVector(2, _Branches(3, amp)).amplitudes[3] == amp
+    for phase in (0, 1, _SHORT):
+        assert StateVector(2, _Branches(3, phase)).amplitudes[3] == \
+            DyadicTurn(phase, MAX_DYADIC_EXPONENT).phase_factor()
     with pytest.raises(ValueError, match=r"^basis index out of range"):
-        StateVector(2, _Branches(4, 1.0))
+        StateVector(2, _Branches(4))
     with pytest.raises(ValueError, match="^basis index must be an integer"):
-        StateVector(2, _Branches(True, 1.0))
+        StateVector(2, _Branches(True))
     with pytest.raises(ValueError) as err:
         new_basis_state(25, 0)
     assert str(err.value) == "register width must be in [1, 24] qubits, got 25"
@@ -120,11 +125,11 @@ _I64 = np.int64
         "negative-index", "index-out-of-range", "phase-2**52", "duplicates"])
 def test_branch_form_refuses_malformed_arrays(index, phase, text):
     with pytest.raises(ValueError, match=f"^{text}"):
-        StateVector(2, _Branches(index, 1.0, phase))
+        StateVector(2, _Branches(index, phase))
 
 
 def test_distributions_and_samples_agree_between_forms():
-    basis, dense = _both_forms(4, 0b1001, cmath.exp(1.1j))
+    basis, dense = _both_forms(4, 0b1001, 5 << 45)
     assert np.array_equal(basis.probabilities(), dense.probabilities())
     assert outcome_distribution(basis) == outcome_distribution(dense)
     for qubits in ([0], [3, 0], [1, 2], range(4)):

@@ -261,6 +261,7 @@ def test_array_dump_rejects_non_finite_state(capsys, tmp_path):
 
 
 def test_array_rejects_old_amplitude_state(capsys, tmp_path):
+    # The zip archive of an older version is not JSON.
     state = tmp_path / "old.npz"
     amps = np.zeros(4, dtype=np.complex128)
     amps[[0, 3]] = 2 ** -0.5
@@ -268,9 +269,8 @@ def test_array_rejects_old_amplitude_state(capsys, tmp_path):
     for argv in (["dump"], ["add", "1"]):
         code, out, err = run_cli(capsys, "array", *argv, "--state", str(state))
         assert code == 2 and out == "", argv
-        assert err == (f"error: {str(state)!r} is a zip state file of an "
-                       "older version; re-run 'array create' to write the "
-                       "JSON format\n")
+        assert err.startswith(f"error: corrupt state file {str(state)!r}: ")
+        assert err.count("\n") == 1, argv
 
 
 def test_save_refuses_a_state_with_phases(tmp_path):
@@ -278,8 +278,8 @@ def test_save_refuses_a_state_with_phases(tmp_path):
     contents = ArrayContents((0, 1))
     index = np.array([0b00, 0b11], dtype=np.int64)
     path = str(tmp_path / "state.npz")
-    for amp, phase in ((1.0, [0, 1]), (1j, [0, 0])):
-        state = StateVector(2, _Branches(index, amp,
+    for phase in ([0, 1], [1 << 50, 1 << 50]):
+        state = StateVector(2, _Branches(index,
                                          np.array(phase, dtype=np.int64)))
         assert read_all(state, layout) == contents
         with pytest.raises(ValueError, match="carries phases"):
@@ -356,8 +356,8 @@ def test_array_rejects_old_json_state(capsys, tmp_path):
     for argv in (["dump"], ["add", "1"]):
         code, out, err = run_cli(capsys, "array", *argv, "--state", str(state))
         assert code == 2 and out == "", argv
-        assert err.startswith("error: ") and err.count("\n") == 1, argv
-        assert "old JSON state file" in err and "array create" in err
+        assert err == (f"error: corrupt state file {str(state)!r}: "
+                       "missing key 'values'\n")
 
 
 def _corrupt_states(good: bytes):
@@ -400,7 +400,7 @@ def _corrupt_states(good: bytes):
         + b"1" * 5000 + b", 0]}", "digits"
     npz = io.BytesIO()
     np.savez(npz, **layout, values=np.array([1, 0], dtype=np.uint64))
-    yield "npz", npz.getvalue(), "zip state file of an older version"
+    yield "npz", npz.getvalue(), corrupt
 
 
 def test_array_rejects_corrupt_state_files(capsys, tmp_path):
@@ -460,15 +460,31 @@ def test_state_file_size_bound(capsys, tmp_path, monkeypatch):
                "the largest state a valid layout makes\n")
 
 
-def test_array_dump_rejects_bad_tolerance(capsys, tmp_path):
-    # dump reads nothing out, so it takes no tolerance, good or bad.
-    state = str(tmp_path / "array.npz")
+@pytest.mark.parametrize("argv, takes", [
+    (["count", "101"], False),
+    (["array", "add", "1"], False),
+    (["array", "dump"], False),
+    (["encode", "5", "--qubits", "3"], True),
+    (["array", "create", "1,2,0,5", "-p", "3"], True),
+], ids=["count", "array-add", "array-dump", "encode", "array-create"])
+def test_array_dump_rejects_bad_tolerance(capsys, tmp_path, argv, takes):
+    # Only encode and array create can read a dense state; every other
+    # readout is exact, so it takes no tolerance, good or bad.
+    state = str(tmp_path / "array.json")
     run_cli(capsys, "array", "create", "1,2,0,5", "-p", "3", "--state", state)
+    if argv[0] == "array":
+        argv = argv + ["--state", state]
     for tolerance in ("1e-9", "nan", "2", "0"):
-        code, out, err = run_cli(capsys, "array", "dump", "--tolerance",
-                                 tolerance, "--state", state)
-        assert code == 2 and out == "", tolerance
-        assert "unrecognized arguments: --tolerance" in err
+        code, out, err = run_cli(capsys, *argv, "--tolerance", tolerance)
+        if not takes:
+            assert code == 2 and out == "", tolerance
+            assert "unrecognized arguments: --tolerance" in err
+        elif tolerance == "1e-9":
+            assert code == 0 and err == "", tolerance
+        else:
+            assert (code, out) == (2, ""), tolerance
+            assert err == f"error: tolerance must be in (0, 1), " \
+                f"got {float(tolerance)!r}\n"
 
 
 def test_circuit_print_golden(capsys):

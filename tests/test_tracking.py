@@ -108,14 +108,15 @@ def _random_circuit(n, rng) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-def _check_against_reference(circuit, basis, amplitude, dense_gates) -> bool:
-    """apply_circuit on amplitude*|basis> equals the reference column;
-    returns whether the run was tracked (no dense gate applied)."""
+def _check_against_reference(circuit, basis, phase, dense_gates) -> bool:
+    """apply_circuit on e^{2*pi*i*phase/2**52}|basis> equals the reference
+    column; returns whether the run was tracked (no dense gate applied)."""
     n = circuit.num_qubits
     before = len(dense_gates)
-    out = apply_circuit(StateVector(n, statevector._Branches(basis, amplitude)),
+    out = apply_circuit(StateVector(n, statevector._Branches(basis, phase)),
                         circuit)
-    expected = ref_circuit_matrix(circuit)[:, basis] * amplitude
+    expected = ref_circuit_matrix(circuit)[:, basis] * DyadicTurn(
+        phase, MAX_DYADIC_EXPONENT).phase_factor()
     assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
     tracked = len(dense_gates) == before
     try:
@@ -133,8 +134,8 @@ def test_random_circuits_match_reference(dense_gates):
         n = int(rng.integers(1, 9))
         circuit = _random_circuit(n, rng)
         basis = int(rng.integers(1 << n))
-        amplitude = cmath.exp(2j * math.pi * rng.random())
-        tracked += _check_against_reference(circuit, basis, amplitude,
+        phase = int(rng.random() * (1 << MAX_DYADIC_EXPONENT))
+        tracked += _check_against_reference(circuit, basis, phase,
                                             dense_gates)
     # Both branches carry a real share of the cases (128 of 300 tracked).
     assert cases // 4 <= tracked <= cases - cases // 4, tracked
@@ -278,8 +279,8 @@ def test_one_branch_stops_at_the_first_failed_bit_control(dense_gates):
 def test_named_cases_go_dense_and_match(circuit, basis, dense_gates):
     with pytest.raises(NotRepresentable):
         track(circuit, basis)
-    amplitude = cmath.exp(0.7j)
-    assert not _check_against_reference(circuit, basis, amplitude, dense_gates)
+    phase = (7 << (MAX_DYADIC_EXPONENT - 4)) + 1
+    assert not _check_against_reference(circuit, basis, phase, dense_gates)
     assert len(dense_gates) == len(circuit.gates)
 
 
@@ -532,7 +533,7 @@ def test_array_chains_track_and_match_dense_loop(dense_gates, chain):
         # state file drops nothing.
         branches = state._branches
         assert branches.index.size == layout.length
-        assert branches.amp == 1 and not branches.phase.any()
+        assert not branches.phase.any()
 
 
 @settings(max_examples=50, deadline=None)
