@@ -15,21 +15,46 @@ commands, the CPU count, Python, numpy and the checkout's git sha.
     python3 scripts/bench_snapshot.py --tag before --root ../parent
 
 Writes ``BENCH_<tag>.json`` in the root of the repository this script
-sits in.  Uses only the standard library.
+sits in.
+
+``--layers`` instead times the library's layers in this process, with
+the ``qabacus`` of the checkout ``--root`` first on the import path, and
+prints one line per layer: over the ``estimate`` workload's grid, the
+build, ``serialize``, apply plus readout and ``parse`` of each estimator
+kind, per round; then one ``run_count`` call at 8 and at 16 bits, the
+control that estimator changes should not move.  Each figure is the
+best and the median of ``LAYER_REPS`` repetitions.
+
+    python3 scripts/bench_snapshot.py --layers
+    python3 scripts/bench_snapshot.py --layers --root ../parent
+
+Uses only the standard library.
 """
 
 import argparse
 import json
 import os
 import platform
+import random
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
 SEEDS = (11, 12, 13)
 COMMAND = ["python3", "qbench/run.py"]
+
+LAYER_REPS = 9
+# The estimate workload's grid: the QFT estimator at each width, the
+# generic one over a random m-bit dyadic table at each (n, m).
+QFT_WIDTHS = range(2, 9)
+GENERIC_INPUTS = range(3, 8)
+GENERIC_ANCILLAS = range(3, 7)
+COUNT_BITS = (8, 16)
+COUNT_CALLS = 200
 
 
 def _run(args: list[str], cwd: Path) -> str:
@@ -52,13 +77,75 @@ def _host(root: Path) -> dict:
     }
 
 
+def _layers(root: Path) -> None:
+    """Print the layer timings of the ``qabacus`` under ``root``."""
+    sys.path.insert(0, str(root / "src"))
+    import qabacus as qa
+
+    rng = random.Random(1)
+    ops = [("qft", n, n, None, rng.randrange(1 << n)) for n in QFT_WIDTHS]
+    for n in GENERIC_INPUTS:
+        for m in GENERIC_ANCILLAS:
+            table = qa.PhaseTable(n, tuple(qa.DyadicTurn(rng.randrange(1 << m), m)
+                                           for _ in range(1 << n)))
+            ops.append(("generic", n, m, table, rng.randrange(1 << n)))
+    inputs = {bits: [[rng.getrandbits(1) for _ in range(bits)]
+                     for _ in range(COUNT_CALLS)] for bits in COUNT_BITS}
+    layers = ("build", "serialize", "apply+readout", "parse")
+    totals: dict[str, list[float]] = {}
+    clock = time.perf_counter
+    for _ in range(LAYER_REPS):
+        spent = dict.fromkeys(((kind, layer) for kind in ("qft", "generic")
+                               for layer in layers), 0.0)
+        for kind, n, m, table, j in ops:
+            t0 = clock()
+            if kind == "qft":
+                circuit = qa.build_qft_phase_estimator(n)
+            else:
+                circuit = qa.build_phase_estimator(table, m)
+            t1 = clock()
+            text = qa.serialize(circuit)
+            t2 = clock()
+            state = qa.apply_circuit(qa.new_basis_state(n + m, j), circuit)
+            readout = qa.deterministic_outcome(state, qubits=range(n, n + m))
+            t3 = clock()
+            back = qa.parse(text)
+            t4 = clock()
+            want = j if kind == "qft" else table.phases[j].numerator << (
+                m - table.phases[j].denom_exponent)
+            if readout != want or back != circuit:
+                raise SystemExit(f"wrong reply for {kind} n={n} m={m} j={j}")
+            for layer, dt in zip(layers, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+                spent[kind, layer] += dt
+        for (kind, layer), dt in spent.items():
+            totals.setdefault(f"{kind} {layer} per round", []).append(dt)
+        for bits, calls in inputs.items():
+            t0 = clock()
+            for call in calls:
+                qa.run_count(call)
+            totals.setdefault(f"run_count {bits} bits per call", []).append(
+                (clock() - t0) / COUNT_CALLS)
+    print(f"qabacus from {root / 'src'}, best and median of {LAYER_REPS}")
+    for name, times in totals.items():
+        print(f"{name:<36} {min(times) * 1e3:8.3f} ms "
+              f"{statistics.median(times) * 1e3:8.3f} ms")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tag", required=True)
+    parser.add_argument("--tag")
+    parser.add_argument("--layers", action="store_true",
+                        help="time the library's layers instead")
     parser.add_argument("--root", type=Path, default=REPO,
-                        help="checkout whose qbench/run.py runs")
+                        help="checkout whose qbench/run.py runs, or with "
+                        "--layers whose src/qabacus is timed")
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    if args.layers:
+        _layers(root)
+        return 0
+    if args.tag is None:
+        parser.error("--tag is required without --layers")
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = str(spec["run_seconds"])
     out = REPO / f"BENCH_{args.tag}.json"

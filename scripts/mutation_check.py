@@ -51,6 +51,7 @@ _CIRCUIT = "qabacus/circuit.py"
 _WIDTH = "tests/test_circuit.py::test_circuit_width_covers_every_qubit_of_a_gate"
 _MEMO = "tests/test_circuit.py::test_pattern_controls_memo_is_bounded_and_exact"
 _SHARED = "tests/test_circuit.py::test_serialize_formats_shared_control_tuples_exactly"
+_BLOCK = "tests/test_phase_estimation.py::test_kickback_block_matches_its_gates"
 _POW2 = ("tests/test_turns.py::test_times_pow2_principal_value",
          "tests/test_turns.py::test_dyadic_times_pow2_matches_fraction")
 
@@ -60,12 +61,12 @@ MUTATIONS = (
              "theta[q] = _add(theta[q], -turn, hit)",
              "theta[q] = _add(theta[q], turn, hit)", (_NAMED,)),
     Mutation("open-dot-global", _TRACKING,
-             "                glob = _add(glob, turn, hit)\n"
-             "                theta[q] = _add(theta[q], -turn, hit)\n",
-             "                theta[q] = _add(theta[q], -turn, hit)\n",
+             "                    glob = _add(glob, turn, hit)\n"
+             "                    theta[q] = _add(theta[q], -turn, hit)\n",
+             "                    theta[q] = _add(theta[q], -turn, hit)\n",
              (_NAMED,)),
     Mutation("x-moves-theta-to-global", _TRACKING,
-             "                glob = glob + theta[q]\n", "", (_NAMED,)),
+             "                    glob = glob + theta[q]\n", "", (_NAMED,)),
     Mutation("x-negates-theta", _TRACKING,
              "theta[q] = -theta[q]", "theta[q] = theta[q]", (_NAMED,)),
     Mutation("any-theta-at-h", _TRACKING,
@@ -117,10 +118,19 @@ MUTATIONS = (
              "@functools.lru_cache(maxsize=None)", (_MEMO,)),
     Mutation("serialize-memo-key", _CIRCUIT,
              "key = id(gate.controls)", "key = len(gate.controls)", (_SHARED,)),
-    # The generic estimator's kickback powers.
-    Mutation("kickback-power-shift", "qabacus/phase_estimation.py",
-             "(power := phase.times_pow2(l))", "(power := phase.times_pow2(l + 1))",
+    # The generic estimator's kickback block.
+    Mutation("kickback-power-shift", _CIRCUIT,
+             "(l, j, phases[j].times_pow2(l))",
+             "(l, j, phases[j].times_pow2(l + 1))",
              _ESTIMATORS),
+    Mutation("block-gate-count", _CIRCUIT,
+             "min(p.denom_exponent, m)", "p.denom_exponent", (_BLOCK,)),
+    Mutation("block-control-polarity", _CIRCUIT,
+             "f\"{'+' if c.positive else '-'}{c.qubit} \"",
+             "f\"{'-' if c.positive else '+'}{c.qubit} \"", (_BLOCK,)),
+    Mutation("block-track-pattern", _TRACKING,
+             "block.gates((index & ((1 << n) - 1),))",
+             "block.gates(((index ^ 1) & ((1 << n) - 1),))", (_BLOCK,)),
     # Readout and the state file.
     Mutation("readout-bit-order", "qabacus/statevector.py",
              "((index >> q) & 1) << bit", "((index >> q) & 1) << q",

@@ -12,6 +12,11 @@ a circuit checks its width without rebuilding the gate's qubit tuple.
 The bit-pattern control tuples the builders share are memoized with a
 fixed bound: a phase estimator asks for one tuple per input pattern, and
 an unbounded memo would keep every width's 2**n tuples alive.
+
+The generic phase estimator's kickback is one private block,
+``_TableKick``: its m * 2**n gates are made only when a circuit's
+``gates`` are first read, while ``serialize`` writes its lines from the
+table and ``tracking.track`` runs only the gates a basis input fires.
 """
 
 import functools
@@ -169,25 +174,87 @@ class Swap:
 Gate = Union[Hadamard, X, Phase, Swap]
 
 
+class _TableKick:
+    """The kickback of ``build_phase_estimator(table, m)`` as one block.
+
+    For ancilla l = 0..m-1 (qubit n + l) and, within it, input pattern
+    j = 0..2**n-1: the gate ``Phase(table.phases[j].times_pow2(l), n + l,
+    _pattern_controls(j, 0, n))`` wherever that power is nonzero, which
+    is for l < min(k_j, m) with k_j entry j's ``denom_exponent``.
+    """
+
+    __slots__ = ("table", "m", "size", "_top")
+
+    def __init__(self, table, m: int):
+        self.table = table
+        self.m = m
+        self.size = sum(min(p.denom_exponent, m) for p in table.phases)
+        self._top = table.num_input_qubits + m - 1
+
+    def terms(self, patterns=None):
+        """``(l, j, turn)`` of each gate in block order, for the input
+        patterns j in ``patterns`` (every pattern if None)."""
+        phases = self.table.phases
+        if patterns is None:
+            patterns = range(len(phases))
+        return ((l, j, phases[j].times_pow2(l)) for l in range(self.m)
+                for j in patterns if l < phases[j].denom_exponent)
+
+    def gates(self, patterns=None) -> list[Phase]:
+        """The gates of ``terms(patterns)``."""
+        n = self.table.num_input_qubits
+        return [Phase(turn, n + l, _pattern_controls(j, 0, n))
+                for l, j, turn in self.terms(patterns)]
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate sequence over num_qubits qubits.
 
     ``labels`` are non-semantic annotations (gate index, text) used to
     mark blocks in serialized dumps; they are excluded from equality.
+
+    A builder may pass a ``_TableKick`` block among the gates.  The
+    circuit keeps it whole in ``_parts`` (runs of gates as tuples, and
+    the blocks), counts its gates for the label positions and expands it
+    into ``gates`` on the first read, as a branch-form ``StateVector``
+    builds its ``amplitudes``.
     """
 
     num_qubits: int
-    gates: tuple[Gate, ...] = ()
+    gates: tuple[Gate, ...]  # read through the ``gates`` property below
     labels: tuple[tuple[int, str], ...] = field(default=(), compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "num_qubits",
-                           _check_int(self.num_qubits, "num_qubits", 1))
-        object.__setattr__(self, "gates", tuple(self.gates))
-        labels = []
-        for pos, text in self.labels:
-            pos = _check_int(pos, "label position", 0, len(self.gates) + 1)
+    def __init__(self, num_qubits: int, gates=(), labels=()):
+        num_qubits = _check_int(num_qubits, "num_qubits", 1)
+        gates = tuple(gates)
+        size, blocks = len(gates), False
+        for g in gates:
+            if not isinstance(g, (Hadamard, X, Phase, Swap)):
+                if not isinstance(g, _TableKick):
+                    raise ValueError(f"not a gate: {g!r}")
+                size += g.size - 1
+                blocks = True
+            if g._top >= num_qubits:
+                raise ValueError(
+                    f"gate {g!r} touches qubit {g._top} but circuit has "
+                    f"{num_qubits} qubits")
+        object.__setattr__(self, "num_qubits", num_qubits)
+        if blocks:
+            parts, start = [], 0
+            for i, g in enumerate(gates):
+                if isinstance(g, _TableKick):
+                    parts += (gates[start:i], g)
+                    start = i + 1
+            parts.append(gates[start:])
+            object.__setattr__(self, "_parts", tuple(parts))
+            object.__setattr__(self, "_gates", None)
+        else:
+            object.__setattr__(self, "_parts", (gates,))
+            object.__setattr__(self, "_gates", gates)
+        checked = []
+        for pos, text in labels:
+            pos = _check_int(pos, "label position", 0, size + 1)
             if not isinstance(text, str):
                 raise ValueError(f"label text must be a string, got {text!r}")
             # parse splits lines at every line boundary str.splitlines knows.
@@ -195,30 +262,43 @@ class Circuit:
                 raise ValueError("label text must be a single line")
             if text != text.strip():  # parse strips it, so it would not round-trip
                 raise ValueError(f"label text has outer whitespace: {text!r}")
-            labels.append((pos, text))
+            checked.append((pos, text))
         # Canonical label order: by position, stable.
         object.__setattr__(self, "labels",
-                           tuple(sorted(labels, key=lambda item: item[0])))
-        for g in self.gates:
-            if not isinstance(g, (Hadamard, X, Phase, Swap)):
-                raise ValueError(f"not a gate: {g!r}")
-            if g._top >= self.num_qubits:
-                raise ValueError(
-                    f"gate {g!r} touches qubit {g._top} but circuit has "
-                    f"{self.num_qubits} qubits")
+                           tuple(sorted(checked, key=lambda item: item[0])))
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The gates in order, every block expanded (on the first read)."""
+        gates = self._gates
+        if gates is None:
+            # Threads racing on the first read each build an equal tuple,
+            # and any one of them may be the one kept.
+            gates = tuple(g for part in self._parts for g in (
+                part if isinstance(part, tuple) else part.gates()))
+            object.__setattr__(self, "_gates", gates)
+        return gates
 
     @classmethod
     def from_blocks(cls, num_qubits: int, blocks) -> "Circuit":
-        """One circuit from ``(label, gates)`` blocks run in order.
+        """One circuit from ``(label, gates)`` blocks run in order, where
+        a block is its gates or one ``_TableKick``.
 
         Each label marks the position where its block starts, so an
         empty block at the end leaves its label after the last gate.
         """
-        gates: list[Gate] = []
+        gates: list = []
         labels: list[tuple[int, str]] = []
+        size = 0
         for label, block in blocks:
-            labels.append((len(gates), label))
-            gates.extend(block)
+            labels.append((size, label))
+            if isinstance(block, _TableKick):
+                gates.append(block)
+                size += block.size
+            else:
+                start = len(gates)
+                gates.extend(block)
+                size += len(gates) - start
         return cls(num_qubits, tuple(gates), labels=tuple(labels))
 
 
@@ -282,6 +362,16 @@ _PLAIN_GATES = {
 _PLAIN_KINDS = {cls: kind for kind, (cls, _, _) in _PLAIN_GATES.items()}
 
 
+def _control_text(controls: tuple[Control, ...]) -> str:
+    """The controls of a P line, each followed by a space."""
+    return "".join(f"{'+' if c.positive else '-'}{c.qubit} " for c in controls)
+
+
+def _phase_line(turn: Turn, controls: str, target: int) -> str:
+    """A P line from its turn, its ``_control_text`` and its target."""
+    return f"P {format_turn(turn)} {controls}-> {target}"
+
+
 def _format_gate(gate: Gate, controls: dict[int, str]) -> str:
     """One gate line.  ``controls`` memoizes each control tuple's text by
     the tuple's ``id``, so the caller keeps every keyed tuple alive while
@@ -291,9 +381,17 @@ def _format_gate(gate: Gate, controls: dict[int, str]) -> str:
     key = id(gate.controls)
     text = controls.get(key)
     if text is None:
-        text = controls[key] = "".join(
-            f"{'+' if c.positive else '-'}{c.qubit} " for c in gate.controls)
-    return f"P {format_turn(gate.turn)} {text}-> {gate.target}"
+        text = controls[key] = _control_text(gate.controls)
+    return _phase_line(gate.turn, text, gate.target)
+
+
+def _block_lines(block: _TableKick) -> list[str]:
+    """The lines of a ``_TableKick``'s gates, written from its table: each
+    input pattern's control text is made once, for all m powers."""
+    n = block.table.num_input_qubits
+    texts = [_control_text(_pattern_controls(j, 0, n)) if p.denom_exponent
+             else "" for j, p in enumerate(block.table.phases)]
+    return [_phase_line(turn, texts[j], n + l) for l, j, turn in block.terms()]
 
 
 def serialize(circuit: Circuit) -> str:
@@ -301,17 +399,22 @@ def serialize(circuit: Circuit) -> str:
 
     Labels appear as '# text' comment lines before the gate they mark.
     Builders share one control tuple across many gates, so each tuple's
-    text is made once per call.
+    text is made once per call; a block's lines come from the block.
     """
-    gates = circuit.gates
     controls: dict[int, str] = {}
+    body: list[str] = []
+    for part in circuit._parts:
+        if isinstance(part, tuple):
+            body.extend(_format_gate(g, controls) for g in part)
+        else:
+            body.extend(_block_lines(part))
     lines = [f"qubits {circuit.num_qubits}"]
     done = 0
     for pos, text in circuit.labels:  # sorted by position
-        lines.extend(_format_gate(g, controls) for g in gates[done:pos])
+        lines.extend(body[done:pos])
         lines.append(f"# {text}")
         done = pos
-    lines.extend(_format_gate(g, controls) for g in gates[done:])
+    lines.extend(body[done:])
     return "\n".join(lines) + "\n"
 
 
@@ -323,6 +426,8 @@ def parse(text: str) -> Circuit:
     num_qubits: int | None = None
     gates: list[Gate] = []
     labels: list[tuple[int, str]] = []
+    # A P line's control tokens -> the Control tuple made at their first line.
+    controls: dict[tuple[str, ...], tuple[Control, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -345,7 +450,7 @@ def parse(text: str) -> Circuit:
                 raise ParseError(lineno, f"qubit count must be >= 1, got {num_qubits}")
             continue
         try:
-            gate = _parse_gate(kind, tokens, lineno)
+            gate = _parse_gate(kind, tokens, lineno, controls)
         except ParseError:
             raise
         except ValueError as exc:
@@ -359,7 +464,8 @@ def parse(text: str) -> Circuit:
     return Circuit(num_qubits, tuple(gates), labels=tuple(labels))
 
 
-def _parse_gate(kind: str, tokens: list[str], lineno: int) -> Gate:
+def _parse_gate(kind: str, tokens: list[str], lineno: int,
+                controls: dict[tuple[str, ...], tuple[Control, ...]]) -> Gate:
     if kind in _PLAIN_GATES:
         cls, arity, wording = _PLAIN_GATES[kind]
         if len(tokens) != arity + 1:
@@ -372,12 +478,17 @@ def _parse_gate(kind: str, tokens: list[str], lineno: int) -> Gate:
         if arrow < 2 or arrow != len(tokens) - 2:
             raise ParseError(lineno, "P line must look like 'P <turn> [±q ...] -> <q>'")
         turn = parse_turn(tokens[1])
-        controls = []
-        for tok in tokens[2:arrow]:
-            if not tok or tok[0] not in "+-":
-                raise ParseError(lineno, f"control must start with + or -: {tok!r}")
-            controls.append(Control(_int_from_text(tok[1:], "control qubit"),
-                                    positive=tok[0] == "+"))
+        key = tuple(tokens[2:arrow])
+        shared = controls.get(key)
+        if shared is None:
+            shared = []
+            for tok in key:
+                if not tok or tok[0] not in "+-":
+                    raise ParseError(
+                        lineno, f"control must start with + or -: {tok!r}")
+                shared.append(Control(_int_from_text(tok[1:], "control qubit"),
+                                      positive=tok[0] == "+"))
+            shared = controls[key] = tuple(shared)
         target = _int_from_text(tokens[arrow + 1], "target")
-        return Phase(turn, target, tuple(controls))
+        return Phase(turn, target, shared)
     raise ParseError(lineno, f"unknown gate kind {kind!r}")

@@ -17,7 +17,7 @@ the low n - l input qubits in Fourier space under ancilla l.
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Control, Phase, _check_int, _pattern_controls
+from .circuit import Circuit, Control, _check_int, _TableKick
 from .qft import _fourier_add, _phase_frame
 from .turns import DyadicTurn, Turn
 
@@ -78,15 +78,15 @@ def build_phase_estimator(table: PhaseTable, m: int) -> Circuit:
     is nonzero: ancilla l is the target and the bit pattern of j forms
     the controls (open dots for 0-bits).  Exponential in n but exact;
     structured circuits such as the counter avoid this generic lowering.
+    The circuit holds these gates as one ``"kickback"`` block and makes
+    them only when its ``gates`` are read: ``serialize`` writes them from
+    the table, and a basis input |j> runs only the powers of entry j.
     """
     n = table.num_input_qubits
     m = _check_int(m, "ancilla count", 1)
-    kickback = (Phase(power, n + l, _pattern_controls(j, 0, n))
-                for l in range(m)
-                for j, phase in enumerate(table.phases)
-                if not (power := phase.times_pow2(l)).is_zero())
     ancillas = range(n, n + m)
-    return _phase_frame(n + m, ancillas, [("kickback", kickback)], ancillas)
+    return _phase_frame(n + m, ancillas,
+                        [("kickback", _TableKick(table, m))], ancillas)
 
 
 def analytic_outcome_probability(phi: Turn, m: int, j: int) -> float:

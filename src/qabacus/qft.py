@@ -119,7 +119,8 @@ def _phase_frame(width: int, prepared: range, kicks,
     """The prepare, write-phases, read-out frame on ``width`` qubits.
 
     A ``"prep"`` block of Hadamards on the ``prepared`` qubits, most
-    significant first; the ``(label, gates)`` blocks of ``kicks``; and,
+    significant first; the ``(label, gates)`` blocks of ``kicks``, where
+    the gates may be one ``_TableKick``; and,
     given ``readout``, a ``"readout"`` inverse QFT with swaps on those
     qubits.  The width is checked before any kick gate is generated.
     """

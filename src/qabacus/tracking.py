@@ -86,6 +86,16 @@ def _split(q: int, index, glob, theta: list):
             np.append(glob & _MASK, (glob + th) & _MASK))
 
 
+def _block_gates(block, index, theta: list) -> list:
+    """The gates of a ``_TableKick`` that can fire on this state.  On one
+    branch whose n input qubits are all bits, input pattern j's gates
+    alone: every other pattern fails a bit control.  Else all of them."""
+    n = block.table.num_input_qubits
+    if isinstance(index, int) and all(t is None for t in theta[:n]):
+        return block.gates((index & ((1 << n) - 1),))
+    return block.gates()
+
+
 def track(circuit: Circuit, index, phase=0):
     """Run ``circuit`` exactly on the branch form with branch indices
     ``index`` and phase numerators ``phase`` over 2**MAX_DYADIC_EXPONENT:
@@ -103,95 +113,98 @@ def track(circuit: Circuit, index, phase=0):
     # The last bit-condition test on an array index (index, mask, match,
     # branches hit): runs of gates under one control pattern share it.
     last = (None, 0, 0, True)
-    for gate in circuit.gates:
-        if isinstance(gate, Phase):
-            # A diagonal gate: the controls and the target are all
-            # conditions.  Bit conditions hold on the branches whose
-            # index matches ``match`` under ``mask``.  One branch stops at
-            # its first failed bit condition, the target first: the gate
-            # is then the identity.
-            one, failed = isinstance(index, int), False
-            t = gate.target
-            mask = match = 0
-            if theta[t] is None:
-                if one and not index >> t & 1:
-                    continue
-                mask = match = 1 << t
-            superposed = []
-            for c in gate.controls:
-                q = c.qubit
-                if theta[q] is None:
-                    if one and (index >> q & 1) != c.positive:
-                        failed = True
-                        break
-                    mask |= 1 << q
-                    match |= c.positive << q
-                else:
-                    superposed.append(c)
-            if failed:
-                continue
-            hit = True
-            if mask and not one:
-                if last[0] is not index or last[1:3] != (mask, match):
-                    last = (index, mask, match, _where(index, mask, match))
-                hit = last[3]
-                if hit is None:
-                    continue  # failed on every branch
-            if superposed and (len(superposed) > 1 or theta[t] is not None):
-                if n > 63:
-                    raise NotRepresentable(
-                        f"{n} qubits do not fit int64 branch indices")
-                for c in superposed:
-                    index, glob = _split(c.qubit, index, glob, theta)
-                    branched |= 1 << c.qubit
-                    mask |= 1 << c.qubit
-                    match |= c.positive << c.qubit
+    for part in circuit._parts:
+        if not isinstance(part, tuple):
+            part = _block_gates(part, index, theta)
+        for gate in part:
+            if isinstance(gate, Phase):
+                # A diagonal gate: the controls and the target are all
+                # conditions.  Bit conditions hold on the branches whose
+                # index matches ``match`` under ``mask``.  One branch stops at
+                # its first failed bit condition, the target first: the gate
+                # is then the identity.
+                one, failed = isinstance(index, int), False
+                t = gate.target
+                mask = match = 0
+                if theta[t] is None:
+                    if one and not index >> t & 1:
+                        continue
+                    mask = match = 1 << t
                 superposed = []
-                hit = _where(index, mask, match)
-                last = (index, mask, match, hit)
-            turn = _numerator(gate.turn)
-            if turn is None:
-                raise NotRepresentable(f"turn {gate.turn!r} is not a dyadic")
-            if theta[t] is not None:
-                theta[t] = _add(theta[t], turn, hit)
-            elif not superposed:
-                glob = _add(glob, turn, hit)
-            elif superposed[0].positive:
-                q = superposed[0].qubit
-                theta[q] = _add(theta[q], turn, hit)
-            else:  # open dot: the turn lands on |0>
-                q = superposed[0].qubit
-                glob = _add(glob, turn, hit)
-                theta[q] = _add(theta[q], -turn, hit)
-        elif isinstance(gate, Hadamard):
-            q = gate.target
-            if theta[q] is None:
-                if branched >> q & 1:
-                    raise NotRepresentable(
-                        f"Hadamard on qubit {q}, which this run split")
-                theta[q] = (index >> q & 1) * _HALF
-                index = index & ~(1 << q)
-            else:
-                th = theta[q] & _MASK
-                if _any(th & (_HALF - 1)):
-                    raise NotRepresentable(f"Hadamard on qubit {q} with a "
-                                           "theta outside {0, 1/2}")
-                index = index | (th >> (MAX_DYADIC_EXPONENT - 1)) << q
-                theta[q] = None
-        elif isinstance(gate, X):
-            q = gate.target
-            if theta[q] is None:
-                index = index ^ (1 << q)
-            else:
-                glob = glob + theta[q]
-                theta[q] = -theta[q]
-        else:  # Swap
-            a, b = gate.a, gate.b
-            flip = (index >> a ^ index >> b) & 1
-            index = index ^ (flip << a | flip << b)
-            theta[a], theta[b] = theta[b], theta[a]
-            flip = (branched >> a ^ branched >> b) & 1
-            branched ^= flip << a | flip << b
+                for c in gate.controls:
+                    q = c.qubit
+                    if theta[q] is None:
+                        if one and (index >> q & 1) != c.positive:
+                            failed = True
+                            break
+                        mask |= 1 << q
+                        match |= c.positive << q
+                    else:
+                        superposed.append(c)
+                if failed:
+                    continue
+                hit = True
+                if mask and not one:
+                    if last[0] is not index or last[1:3] != (mask, match):
+                        last = (index, mask, match, _where(index, mask, match))
+                    hit = last[3]
+                    if hit is None:
+                        continue  # failed on every branch
+                if superposed and (len(superposed) > 1 or theta[t] is not None):
+                    if n > 63:
+                        raise NotRepresentable(
+                            f"{n} qubits do not fit int64 branch indices")
+                    for c in superposed:
+                        index, glob = _split(c.qubit, index, glob, theta)
+                        branched |= 1 << c.qubit
+                        mask |= 1 << c.qubit
+                        match |= c.positive << c.qubit
+                    superposed = []
+                    hit = _where(index, mask, match)
+                    last = (index, mask, match, hit)
+                turn = _numerator(gate.turn)
+                if turn is None:
+                    raise NotRepresentable(f"turn {gate.turn!r} is not a dyadic")
+                if theta[t] is not None:
+                    theta[t] = _add(theta[t], turn, hit)
+                elif not superposed:
+                    glob = _add(glob, turn, hit)
+                elif superposed[0].positive:
+                    q = superposed[0].qubit
+                    theta[q] = _add(theta[q], turn, hit)
+                else:  # open dot: the turn lands on |0>
+                    q = superposed[0].qubit
+                    glob = _add(glob, turn, hit)
+                    theta[q] = _add(theta[q], -turn, hit)
+            elif isinstance(gate, Hadamard):
+                q = gate.target
+                if theta[q] is None:
+                    if branched >> q & 1:
+                        raise NotRepresentable(
+                            f"Hadamard on qubit {q}, which this run split")
+                    theta[q] = (index >> q & 1) * _HALF
+                    index = index & ~(1 << q)
+                else:
+                    th = theta[q] & _MASK
+                    if _any(th & (_HALF - 1)):
+                        raise NotRepresentable(f"Hadamard on qubit {q} with a "
+                                               "theta outside {0, 1/2}")
+                    index = index | (th >> (MAX_DYADIC_EXPONENT - 1)) << q
+                    theta[q] = None
+            elif isinstance(gate, X):
+                q = gate.target
+                if theta[q] is None:
+                    index = index ^ (1 << q)
+                else:
+                    glob = glob + theta[q]
+                    theta[q] = -theta[q]
+            else:  # Swap
+                a, b = gate.a, gate.b
+                flip = (index >> a ^ index >> b) & 1
+                index = index ^ (flip << a | flip << b)
+                theta[a], theta[b] = theta[b], theta[a]
+                flip = (branched >> a ^ branched >> b) & 1
+                branched ^= flip << a | flip << b
     for q, th in enumerate(theta):
         if th is not None:
             raise NotRepresentable(f"qubit {q} ends in superposition")

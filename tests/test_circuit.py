@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import max_amp_diff, random_circuit, random_state
 from qabacus import (
     ArrayContents, ArrayLayout, Circuit, Control, Hadamard, IndexPredicate,
-    ParseError, Phase, Swap, X, apply_circuit, build_counter,
+    ParseError, Phase, PhaseTable, Swap, X, apply_circuit, build_counter,
     build_count_stage, build_create, build_create_arithmetic, build_encoder,
     build_inverse_qft, build_phase_estimator, build_qft,
     build_qft_phase_estimator, build_update_add, count_phase_table,
@@ -145,6 +145,36 @@ def test_pattern_controls_memo_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_lazy_gates_under_threads():
+    # Four threads make the first read of one circuit's gates at once;
+    # each must get the whole expansion.
+    rng = np.random.default_rng(5)
+    table = PhaseTable(6, tuple(DyadicTurn(int(k), 6)
+                                for k in rng.integers(0, 64, 64)))
+    want = build_phase_estimator(table, 6).gates
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            circuit = build_phase_estimator(table, 6)
+            start = threading.Barrier(4)
+            got = []
+
+            def read():
+                start.wait()
+                got.append(circuit.gates)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 4 and all(g == want for g in got)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_invert_examples():
@@ -305,6 +335,41 @@ def test_parse_error_texts(text, line, reason):
         parse(text)
     assert (err.value.line, err.value.reason) == (line, reason)
     assert str(err.value) == f"line {line}: {reason}"
+
+
+def test_parse_shares_control_tuples():
+    # Lines with the same control tokens share one tuple; the circuit is
+    # the one built with a tuple per gate.
+    text = ("qubits 4\nP 1/2 +3 -1 -> 0\nH 2\nP 1/4 +3 -1 -> 2\n"
+            "P 1/8 -> 3\nP 3/8 +3 -01 -> 0\n")
+    back = parse(text)
+    assert back == Circuit(4, (
+        Phase(DyadicTurn(1, 1), 0, (Control(3), Control(1, False))),
+        Hadamard(2),
+        Phase(DyadicTurn(1, 2), 2, (Control(3), Control(1, False))),
+        Phase(DyadicTurn(1, 3), 3),
+        Phase(DyadicTurn(3, 3), 0, (Control(3), Control(1, False)))))
+    first, _, second, _, other = back.gates
+    assert second.controls is first.controls
+    assert other.controls == first.controls
+    assert other.controls is not first.controls  # "-01" is its own text
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    # The bad token's first line raises, with or without good lines that
+    # share other controls before it.
+    ("qubits 3\nP 1/2 +1 -> 0\nP 1/4 +1 x2 -> 0\nP 1/4 +1 x2 -> 0\n", 3,
+     "control must start with + or -: 'x2'"),
+    ("qubits 3\nP 1/2 +1 -> 0\nP 1/4 +1 -> 2\nP 1/4 +1 +a -> 0\n", 4,
+     "control qubit is not an integer: 'a'"),
+    # A shared tuple is still checked against each line's target.
+    ("qubits 3\nP 1/2 +1 -> 0\nP 1/4 +1 -> 1\n", 3,
+     "controls and target must be distinct, got [1, 1]"),
+])
+def test_parse_shared_controls_keep_error_lines(text, line, reason):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.reason) == (line, reason)
 
 
 def test_label_text_must_be_one_line():

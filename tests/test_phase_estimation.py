@@ -1,12 +1,17 @@
+import random
+
 import numpy as np
 import pytest
 
 from qabacus import (
-    PhaseTable, Phase, analytic_outcome_probability, apply_circuit, apply_gate,
-    build_phase_estimator, build_qft_phase_estimator, deterministic_outcome,
-    diagonal_power, is_zero_failure, marginal_distribution, new_basis_state,
-    qft_phase_table,
+    Circuit, PhaseTable, Phase, analytic_outcome_probability, apply_circuit,
+    apply_gate, build_phase_estimator, build_qft_phase_estimator,
+    deterministic_outcome, diagonal_power, is_zero_failure,
+    marginal_distribution, new_basis_state, parse, qft_phase_table, serialize,
 )
+from qabacus.circuit import _pattern_controls
+from qabacus.qft import _phase_frame
+from qabacus.tracking import NotRepresentable, track
 from qabacus.turns import DyadicTurn, Turn
 
 
@@ -184,3 +189,65 @@ def test_estimator_width_checks():
         build_qft_phase_estimator(13)
     with pytest.raises(ValueError):
         diagonal_power(qft_phase_table(1), -1)
+
+
+def _gate_by_gate_estimator(table, m):
+    """The estimator with its kickback written out gate by gate, as the
+    generator expression the builder used before the block."""
+    n = table.num_input_qubits
+    kickback = (Phase(power, n + l, _pattern_controls(j, 0, n))
+                for l in range(m)
+                for j, phase in enumerate(table.phases)
+                if not (power := phase.times_pow2(l)).is_zero())
+    ancillas = range(n, n + m)
+    return _phase_frame(n + m, ancillas, [("kickback", kickback)], ancillas)
+
+
+def _tracked(circuit, basis):
+    try:
+        return track(circuit, basis)
+    except NotRepresentable as exc:
+        return str(exc)
+
+
+def test_kickback_block_matches_its_gates():
+    # Random tables over n in 1..5 and m in 1..7: dyadic entries with k
+    # in 0..9, so powers past k and zero entries occur, and float tables.
+    rng = random.Random(26)
+    dense = 0
+    for case in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 7)
+        if case % 4:
+            table = PhaseTable(n, tuple(
+                DyadicTurn(rng.randrange(1 << k), k)
+                for k in (rng.randint(0, 9) for _ in range(1 << n))))
+        else:
+            table = PhaseTable.from_values(
+                n, [rng.random() for _ in range(1 << n)])
+        c = build_phase_estimator(table, m)
+        want = _gate_by_gate_estimator(table, m)
+        assert c._gates is None  # nothing is expanded before a read
+        text = serialize(c)
+        assert c.gates == want.gates
+        assert c.labels == want.labels
+        plain = Circuit(c.num_qubits, c.gates, labels=c.labels)
+        assert text == serialize(plain) == serialize(want)
+        assert parse(text) == c
+        width = n + m
+        # Every basis input when that is at most 2**9 of them; else every
+        # input pattern under three ancilla values.
+        if width <= 9:
+            inputs = range(1 << width)
+        else:
+            ancillas = (0, (1 << m) - 1, rng.randrange(1 << m))
+            inputs = [j | a << n for a in ancillas for j in range(1 << n)]
+        for basis in inputs:
+            assert _tracked(c, basis) == _tracked(plain, basis), basis
+        if case % 4 == 0:
+            for j in range(1 << n):
+                got = apply_circuit(new_basis_state(width, j), c)
+                ref = apply_circuit(new_basis_state(width, j), plain)
+                assert (got._branches is None) == (ref._branches is None)
+                dense += got._branches is None
+                assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-12
+    assert dense  # float tables did fall back to the dense kernel
