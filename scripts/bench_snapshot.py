@@ -22,7 +22,10 @@ the ``qabacus`` of the checkout ``--root`` first on the import path, and
 prints one line per layer: over the ``estimate`` workload's grid, the
 build, ``serialize``, apply plus readout and ``parse`` of each estimator
 kind, per round; then one ``run_count`` call at 8 and at 16 bits, the
-control that estimator changes should not move.  Each figure is the
+control that estimator changes should not move; then ``build_create``
+and the ``serialize`` of its circuit at each ``ARRAY_LAYOUTS`` (m, p);
+then, for the generic estimator at ``WIDE_GENERIC`` (n, m), the build
+plus the first read of ``gates``, and ``serialize``.  Each figure is the
 best and the median of ``LAYER_REPS`` repetitions.
 
     python3 scripts/bench_snapshot.py --layers
@@ -55,6 +58,10 @@ GENERIC_INPUTS = range(3, 8)
 GENERIC_ANCILLAS = range(3, 7)
 COUNT_BITS = (8, 16)
 COUNT_CALLS = 200
+# The array-session workload's five layouts, then one with 2**11 index
+# patterns; and a generic estimator with 2**11 input patterns.
+ARRAY_LAYOUTS = ((4, 8), (6, 7), (8, 6), (5, 10), (8, 8), (11, 4))
+WIDE_GENERIC = (11, 4)
 
 
 def _run(args: list[str], cwd: Path) -> str:
@@ -91,6 +98,12 @@ def _layers(root: Path) -> None:
             ops.append(("generic", n, m, table, rng.randrange(1 << n)))
     inputs = {bits: [[rng.getrandbits(1) for _ in range(bits)]
                      for _ in range(COUNT_CALLS)] for bits in COUNT_BITS}
+    arrays = [(qa.ArrayLayout(m, p), qa.ArrayContents(tuple(
+        rng.randrange(1 << p) for _ in range(1 << m)))) for m, p in ARRAY_LAYOUTS]
+    wide_n, wide_m = WIDE_GENERIC
+    wide = qa.PhaseTable(wide_n, tuple(qa.DyadicTurn(rng.randrange(1 << wide_m),
+                                                     wide_m)
+                                       for _ in range(1 << wide_n)))
     layers = ("build", "serialize", "apply+readout", "parse")
     totals: dict[str, list[float]] = {}
     clock = time.perf_counter
@@ -125,6 +138,23 @@ def _layers(root: Path) -> None:
                 qa.run_count(call)
             totals.setdefault(f"run_count {bits} bits per call", []).append(
                 (clock() - t0) / COUNT_CALLS)
+        for layout, contents in arrays:
+            shape = f"m={layout.index_qubits} p={layout.data_qubits}"
+            t0 = clock()
+            circuit = qa.build_create(contents, layout)
+            t1 = clock()
+            qa.serialize(circuit)
+            t2 = clock()
+            totals.setdefault(f"build_create {shape}", []).append(t1 - t0)
+            totals.setdefault(f"serialize create {shape}", []).append(t2 - t1)
+        shape = f"n={wide_n} m={wide_m}"
+        t0 = clock()
+        qa.build_phase_estimator(wide, wide_m).gates
+        t1 = clock()
+        qa.serialize(qa.build_phase_estimator(wide, wide_m))
+        t2 = clock()
+        totals.setdefault(f"generic {shape} build+gates", []).append(t1 - t0)
+        totals.setdefault(f"generic {shape} serialize", []).append(t2 - t1)
     print(f"qabacus from {root / 'src'}, best and median of {LAYER_REPS}")
     for name, times in totals.items():
         print(f"{name:<36} {min(times) * 1e3:8.3f} ms "

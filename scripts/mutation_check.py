@@ -49,7 +49,7 @@ _ESTIMATORS = (_TESTS + "test_estimators_run_tracked",
                "test_estimator_reads_out_eigenphase_index")
 _CIRCUIT = "qabacus/circuit.py"
 _WIDTH = "tests/test_circuit.py::test_circuit_width_covers_every_qubit_of_a_gate"
-_MEMO = "tests/test_circuit.py::test_pattern_controls_memo_is_bounded_and_exact"
+_PATTERNS = "tests/test_circuit.py::test_patterns_enumerate_every_control_tuple"
 _SHARED = "tests/test_circuit.py::test_serialize_formats_shared_control_tuples_exactly"
 _BLOCK = "tests/test_phase_estimation.py::test_kickback_block_matches_its_gates"
 _POW2 = ("tests/test_turns.py::test_times_pow2_principal_value",
@@ -111,11 +111,11 @@ MUTATIONS = (
     Mutation("swap-top-from-a", _CIRCUIT,
              '"_top", max(a, b))', '"_top", a)', (_WIDTH,)),
     Mutation("pattern-polarity", _CIRCUIT,
-             "positive=bool((match >> b) & 1)",
-             "positive=not (match >> b) & 1", (_MEMO,)),
-    Mutation("unbounded-pattern-memo", _CIRCUIT,
-             "@functools.lru_cache(maxsize=1024)",
-             "@functools.lru_cache(maxsize=None)", (_MEMO,)),
+             "(Control(q, False), Control(q, True))",
+             "(Control(q, True), Control(q, False))", (_PATTERNS,)),
+    Mutation("patterns-qubit-order", _CIRCUIT,
+             "for q in range(first + width - 1, first - 1, -1)",
+             "for q in range(first, first + width)", (_PATTERNS,)),
     Mutation("serialize-memo-key", _CIRCUIT,
              "key = id(gate.controls)", "key = len(gate.controls)", (_SHARED,)),
     # The generic estimator's kickback block.
@@ -129,8 +129,8 @@ MUTATIONS = (
              "f\"{'+' if c.positive else '-'}{c.qubit} \"",
              "f\"{'-' if c.positive else '+'}{c.qubit} \"", (_BLOCK,)),
     Mutation("block-track-pattern", _TRACKING,
-             "block.gates((index & ((1 << n) - 1),))",
-             "block.gates(((index ^ 1) & ((1 << n) - 1),))", (_BLOCK,)),
+             "block.terms((index & ((1 << n) - 1),))",
+             "block.terms(((index ^ 1) & ((1 << n) - 1),))", (_BLOCK,)),
     # Readout and the state file.
     Mutation("readout-bit-order", "qabacus/statevector.py",
              "((index >> q) & 1) << bit", "((index >> q) & 1) << q",
@@ -164,6 +164,9 @@ MUTATIONS = (
              "_fourier_turn(value, width - l), register.start + l,",
              "_fourier_turn(value, width - l), l,",
              ("tests/test_counting.py::test_counter_basis_examples",)),
+    Mutation("predicate-polarity", "qabacus/qarray.py",
+             "bool(predicate.match >> b & 1)", "not predicate.match >> b & 1",
+             ("tests/test_qarray.py::test_update_even_positions",)),
     Mutation("read-all-mass-before-peak", "qabacus/qarray.py",
              "if light[j]:",
              "if not peak[j] < (1.0 - tolerance) * mass[j]:",

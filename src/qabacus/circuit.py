@@ -9,9 +9,6 @@ control matches its polarity and the target bit is 1.
 
 Each gate also keeps its highest qubit, ``_top``, outside its fields, so
 a circuit checks its width without rebuilding the gate's qubit tuple.
-The bit-pattern control tuples the builders share are memoized with a
-fixed bound: a phase estimator asks for one tuple per input pattern, and
-an unbounded memo would keep every width's 2**n tuples alive.
 
 The generic phase estimator's kickback is one private block,
 ``_TableKick``: its m * 2**n gates are made only when a circuit's
@@ -19,7 +16,7 @@ The generic phase estimator's kickback is one private block,
 table and ``tracking.track`` runs only the gates a basis input fires.
 """
 
-import functools
+import itertools
 import operator
 from dataclasses import dataclass, field, replace
 from typing import Union
@@ -82,15 +79,14 @@ class Control:
         object.__setattr__(self, "positive", positive)
 
 
-@functools.lru_cache(maxsize=1024)
-def _pattern_controls(match: int, first: int, width: int,
-                      mask: int = -1) -> tuple[Control, ...]:
-    """The controls that select qubits first..first+width-1 holding the
-    bits of ``match`` where ``mask`` has a 1: most significant first, a
-    closed dot for each 1-bit and an open dot for each 0-bit.  Pure and
-    immutable, so callers share one memoized tuple per pattern."""
-    return tuple(Control(first + b, positive=bool((match >> b) & 1))
-                 for b in range(width - 1, -1, -1) if (mask >> b) & 1)
+def _patterns(first: int, width: int) -> itertools.product:
+    """Yields, as entry j, the controls that select bit pattern j on
+    qubits first..first+width-1: most significant first, a closed dot for
+    each 1-bit and an open dot for each 0-bit.  The gates of one pattern
+    share its tuple, and a tuple no gate takes is freed at once."""
+    return itertools.product(*(
+        (Control(q, False), Control(q, True))
+        for q in range(first + width - 1, first - 1, -1)))
 
 
 @dataclass(frozen=True)
@@ -179,8 +175,9 @@ class _TableKick:
 
     For ancilla l = 0..m-1 (qubit n + l) and, within it, input pattern
     j = 0..2**n-1: the gate ``Phase(table.phases[j].times_pow2(l), n + l,
-    _pattern_controls(j, 0, n))`` wherever that power is nonzero, which
-    is for l < min(k_j, m) with k_j entry j's ``denom_exponent``.
+    controls)``, with entry j of ``_patterns(0, n)`` as its controls,
+    wherever that power is nonzero, which is for l < min(k_j, m) with k_j
+    entry j's ``denom_exponent``.
     """
 
     __slots__ = ("table", "m", "size", "_top")
@@ -200,11 +197,11 @@ class _TableKick:
         return ((l, j, phases[j].times_pow2(l)) for l in range(self.m)
                 for j in patterns if l < phases[j].denom_exponent)
 
-    def gates(self, patterns=None) -> list[Phase]:
-        """The gates of ``terms(patterns)``."""
+    def gates(self) -> list[Phase]:
+        """The gates of ``terms()``."""
         n = self.table.num_input_qubits
-        return [Phase(turn, n + l, _pattern_controls(j, 0, n))
-                for l, j, turn in self.terms(patterns)]
+        patterns = list(_patterns(0, n))
+        return [Phase(turn, n + l, patterns[j]) for l, j, turn in self.terms()]
 
 
 @dataclass(frozen=True)
@@ -389,8 +386,8 @@ def _block_lines(block: _TableKick) -> list[str]:
     """The lines of a ``_TableKick``'s gates, written from its table: each
     input pattern's control text is made once, for all m powers."""
     n = block.table.num_input_qubits
-    texts = [_control_text(_pattern_controls(j, 0, n)) if p.denom_exponent
-             else "" for j, p in enumerate(block.table.phases)]
+    texts = [_control_text(controls) if p.denom_exponent else ""
+             for controls, p in zip(_patterns(0, n), block.table.phases)]
     return [_phase_line(turn, texts[j], n + l) for l, j, turn in block.terms()]
 
 

@@ -86,16 +86,15 @@ def _parse_predicate(text: str) -> IndexPredicate:
         return IndexPredicate.odd()
     if text == "all":
         return IndexPredicate.all_indices()
-    if text.startswith("mask="):
+    mask_text, keyed, match_text = text.partition(",match=")
+    if keyed and mask_text.startswith("mask="):
         try:
-            mask_part, match_part = text.split(",")
-            mask = _int_from_text(mask_part.removeprefix("mask="), "mask")
-            match = _int_from_text(match_part.removeprefix("match="), "match")
+            mask = _int_from_text(mask_text.removeprefix("mask="), "mask")
+            match = _int_from_text(match_text, "match")
         except ValueError:
-            raise ValueError(
-                f"predicate must be even, odd, all or mask=M,match=V, got {text!r}"
-            ) from None
-        return IndexPredicate(mask, match)
+            pass
+        else:
+            return IndexPredicate(mask, match)
     raise ValueError(
         f"predicate must be even, odd, all or mask=M,match=V, got {text!r}")
 

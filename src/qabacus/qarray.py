@@ -23,7 +23,7 @@ superposed and runs dense.
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Control, Phase, _check_int, _pattern_controls
+from .circuit import Circuit, Control, Phase, _check_int, _patterns
 from .qft import _fourier_add, _fourier_turn, _phase_frame, _qft_gates
 from .statevector import StateVector, _Branches, _check_tolerance, \
     _check_width, apply_circuit, new_basis_state
@@ -126,7 +126,8 @@ def _predicate_controls(predicate: IndexPredicate,
     if predicate.mask >> m:
         raise ValueError(
             f"predicate mask {predicate.mask:#b} exceeds {m} index qubits")
-    return _pattern_controls(predicate.match, p, m, predicate.mask)
+    return tuple(Control(p + b, bool(predicate.match >> b & 1))
+                 for b in range(m - 1, -1, -1) if predicate.mask >> b & 1)
 
 
 def build_create(contents: ArrayContents, layout: ArrayLayout) -> Circuit:
@@ -154,12 +155,9 @@ def build_create(contents: ArrayContents, layout: ArrayLayout) -> Circuit:
 
     gates = [Phase(_fourier_turn(values[0], p - l), l)
              for l in kept(values[0], True)]
-    for j, v in enumerate(values):
-        written = kept(v, False)
-        if written:
-            controls = _pattern_controls(j, p, m)
-            gates += [Phase(_fourier_turn(v, p - l), l, controls)
-                      for l in written]
+    for controls, v in zip(_patterns(p, m), values):
+        gates += [Phase(_fourier_turn(v, p - l), l, controls)
+                  for l in kept(v, False)]
     return _phase_frame(layout.num_qubits, range(layout.num_qubits),
                         [("encode", gates)], range(p))
 

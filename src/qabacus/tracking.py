@@ -88,11 +88,13 @@ def _split(q: int, index, glob, theta: list):
 
 def _block_gates(block, index, theta: list) -> list:
     """The gates of a ``_TableKick`` that can fire on this state.  On one
-    branch whose n input qubits are all bits, input pattern j's gates
-    alone: every other pattern fails a bit control.  Else all of them."""
+    branch whose n input qubits are all bits, input pattern j's powers
+    alone, as plain phases: every other pattern fails a bit control, and
+    every control of pattern j holds.  Else all of the block's gates."""
     n = block.table.num_input_qubits
     if isinstance(index, int) and all(t is None for t in theta[:n]):
-        return block.gates((index & ((1 << n) - 1),))
+        return [Phase(turn, n + l)
+                for l, _, turn in block.terms((index & ((1 << n) - 1),))]
     return block.gates()
 
 

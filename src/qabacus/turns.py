@@ -68,7 +68,8 @@ class Turn:
         return self._denom_exponent
 
     def is_zero(self) -> bool:
-        return self._value == 0.0
+        """Whether the turn is exactly 0, which ``value`` can round to."""
+        return not self._numerator
 
     def phase_factor(self) -> complex:
         """e^{i*2*pi*turn}; quarter turns map to exact unit factors."""

@@ -17,7 +17,7 @@ from qabacus import (
     build_qft_phase_estimator, build_update_add, count_phase_table,
     gate_count_report, invert, lower_negative_controls, parse, serialize,
 )
-from qabacus.circuit import _pattern_controls
+from qabacus.circuit import _patterns
 from qabacus.turns import DyadicTurn, Turn
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -98,53 +98,22 @@ def test_circuit_width_covers_every_qubit_of_a_gate(gate):
     assert "_top" not in {f.name for f in fields(gate)}
 
 
-def test_pattern_controls_memo_is_bounded_and_exact():
-    assert _pattern_controls.cache_info().maxsize is not None
-    # Most significant bit first; a closed dot for each 1-bit.
-    assert _pattern_controls(0b101, 2, 3) == (
+@pytest.mark.parametrize("first, width", [
+    (0, 1), (2, 3), (5, 2), (0, 7), (1, 11), (np.int64(3), np.int64(4)),
+])
+def test_patterns_enumerate_every_control_tuple(first, width):
+    # Entry j selects bit pattern j: most significant qubit first, a
+    # closed dot for each 1-bit.  Width 11 is 2048 patterns.
+    patterns = list(_patterns(first, width))
+    assert len(patterns) == 1 << width
+    for j, got in enumerate(patterns):
+        want = tuple(Control(int(first) + b, bool(j >> b & 1))
+                     for b in range(int(width) - 1, -1, -1))
+        assert got == want, j
+        assert all(type(c.qubit) is int and type(c.positive) is bool
+                   for c in got)
+    assert list(_patterns(2, 3))[0b101] == (
         Control(4), Control(3, positive=False), Control(2))
-    assert _pattern_controls(0b100, 2, 3, 0b110) == (
-        Control(4), Control(3, positive=False))
-    fresh = _pattern_controls.__wrapped__
-    for args in [(0b101, 2, 3), (6, 0, 4, 0b0110), (0, 5, 2), (3, 1, 2, 0)]:
-        for key in (args, tuple(np.int64(a) for a in args)):
-            _pattern_controls(*key)
-            hits = _pattern_controls.cache_info().hits
-            hit = _pattern_controls(*key)
-            assert _pattern_controls.cache_info().hits == hits + 1
-            assert hit == fresh(*args) == fresh(*key)
-            assert all(type(c.qubit) is int and type(c.positive) is bool
-                       for c in hit)
-
-
-def test_pattern_controls_memo_under_threads():
-    # More keys than the memo holds, so threads evict each other's
-    # entries while they read; every tuple must still be the right one.
-    keys = [(j, 1, 11) for j in range(1500)]
-    expected = [_pattern_controls.__wrapped__(*key) for key in keys]
-    table = count_phase_table(4)
-    estimator = serialize(build_phase_estimator(table, 3))
-    wrong = []
-
-    def work():
-        for _ in range(2):
-            wrong.extend(key for key, want in zip(keys, expected)
-                         if _pattern_controls(*key) != want)
-            if serialize(build_phase_estimator(table, 3)) != estimator:
-                wrong.append("estimator")
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
 
 
 def test_lazy_gates_under_threads():

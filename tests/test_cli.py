@@ -544,6 +544,9 @@ def test_circuit_print_names_bad_parameter(capsys):
     (["array", "add", "3", "--where", "mask=1,match=+1"],
      "error: predicate must be even, odd, all or mask=M,match=V, "
      "got 'mask=1,match=+1'"),
+    (["array", "add", "1", "--where", "mask=3,1"],
+     "error: predicate must be even, odd, all or mask=M,match=V, "
+     "got 'mask=3,1'"),
     (["encode", "1_0", "--qubits", "4"],
      "error: argument value: not an integer: '1_0'"),
     (["encode", "10", "--qubits", "\u0664"],
@@ -551,7 +554,7 @@ def test_circuit_print_names_bad_parameter(capsys):
     (["circuit", "print", "qft", "+3"],
      "error: builder 'qft': n must be an integer, got '+3'"),
 ], ids=["values-underscore", "values-arabic-indic", "values-plus", "p", "m",
-        "addend", "mask-prefix", "match-plus", "encode-value",
+        "addend", "mask-prefix", "match-plus", "match-key", "encode-value",
         "encode-qubits", "builder-param"])
 def test_integer_arguments_are_ascii_digits(capsys, tmp_path, argv, text):
     # Every integer argument is ASCII -?[0-9]+; nothing is written.

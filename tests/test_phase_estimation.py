@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qabacus import (
-    Circuit, PhaseTable, Phase, analytic_outcome_probability, apply_circuit,
-    apply_gate, build_phase_estimator, build_qft_phase_estimator,
-    deterministic_outcome, diagonal_power, is_zero_failure,
-    marginal_distribution, new_basis_state, parse, qft_phase_table, serialize,
+    Circuit, Control, PhaseTable, Phase, analytic_outcome_probability,
+    apply_circuit, apply_gate, build_phase_estimator,
+    build_qft_phase_estimator, deterministic_outcome, diagonal_power,
+    is_zero_failure, marginal_distribution, new_basis_state, parse,
+    qft_phase_table, serialize,
 )
-from qabacus.circuit import _pattern_controls
 from qabacus.qft import _phase_frame
 from qabacus.tracking import NotRepresentable, track
 from qabacus.turns import DyadicTurn, Turn
@@ -193,9 +193,12 @@ def test_estimator_width_checks():
 
 def _gate_by_gate_estimator(table, m):
     """The estimator with its kickback written out gate by gate, as the
-    generator expression the builder used before the block."""
+    generator expression the builder used before the block, with the
+    control tuple of each input pattern j built here."""
     n = table.num_input_qubits
-    kickback = (Phase(power, n + l, _pattern_controls(j, 0, n))
+    patterns = [tuple(Control(b, bool(j >> b & 1))
+                      for b in range(n - 1, -1, -1)) for j in range(1 << n)]
+    kickback = (Phase(power, n + l, patterns[j])
                 for l in range(m)
                 for j, phase in enumerate(table.phases)
                 if not (power := phase.times_pow2(l)).is_zero())
@@ -251,3 +254,32 @@ def test_kickback_block_matches_its_gates():
                 dense += got._branches is None
                 assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-12
     assert dense  # float tables did fall back to the dense kernel
+
+
+def test_kickback_block_past_2048_patterns():
+    # n = 11: 2048 input patterns, so every pattern's control tuple is
+    # made for one call; m = 2 keeps the gates at 4096 or fewer.
+    n, m = 11, 2
+    rng = random.Random(11)
+    table = _dyadic_table(n, [(rng.randrange(4), 2) for _ in range(1 << n)])
+    c = build_phase_estimator(table, m)
+    want = _gate_by_gate_estimator(table, m)
+    assert serialize(c) == serialize(want)
+    assert c.gates == want.gates
+    for j in (0, 1234, (1 << n) - 1):
+        # track raises NotRepresentable where the dense kernel would run.
+        index, _ = track(c, j)
+        phase = table.phases[j]
+        assert index == j | phase.numerator << (m - phase.denom_exponent) << n
+
+
+def test_kickback_keeps_a_turn_whose_value_rounds_to_zero():
+    # (2**54 - 1) / 2**54: its float value rounds to 0.0, but the turn is
+    # not zero, so the block and the gate-by-gate estimator both hold it.
+    turn = Turn(1 - 2**-53) + Turn(2**-54)
+    table = PhaseTable(1, (Turn(0.0), turn))
+    c = build_phase_estimator(table, 1)
+    want = _gate_by_gate_estimator(table, 1)
+    assert len(c.gates) == len(want.gates) == 3
+    assert serialize(c) == serialize(want)
+    assert c.gates == want.gates

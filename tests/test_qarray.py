@@ -259,3 +259,13 @@ def test_randomized_update_matches_classical_reference():
         marginal = marginal_distribution(state, range(p, p + m))
         for j in range(1 << m):
             assert abs(marginal.get(j, 0.0) - 1 / (1 << m)) <= 1e-12
+
+
+def test_create_read_roundtrip_past_2048_patterns():
+    # m = 11: one index-pattern control tuple per element, 2048 of them.
+    rng = np.random.default_rng(2048)
+    layout = ArrayLayout(11, 2)
+    values = tuple(int(v) for v in rng.integers(0, 4, size=layout.length))
+    state = create_state(ArrayContents(values), layout)
+    assert state._branches is not None  # branch form, not dense
+    assert read_all(state, layout).values == values

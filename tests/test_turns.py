@@ -32,6 +32,18 @@ def test_dyadic_is_canonically_reduced():
     assert zero.is_zero()
 
 
+def test_is_zero_reads_the_exact_numerator():
+    # (2**54 - 1) / 2**54 is a nonzero turn whose float value rounds to
+    # 1.0 and so reads 0.0.
+    almost = Turn(1 - 2**-53) + Turn(2**-54)
+    assert (almost.numerator, almost.denom_exponent) == ((1 << 54) - 1, 54)
+    assert almost.value == 0.0
+    assert not almost.is_zero()
+    assert Turn(0.0).is_zero()
+    assert (-Turn(0.0)).is_zero()
+    assert DyadicTurn(4, 2).is_zero()
+
+
 def test_dyadic_equality_is_exact():
     assert DyadicTurn(1, 2) == DyadicTurn(1, 2)
     assert DyadicTurn(1, 30) != DyadicTurn(0, 0)
